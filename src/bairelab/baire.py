@@ -2,9 +2,12 @@
 
 The norm of a vector assigns to every finite family of pairwise
 completely incomparable segments the p-aggregate of the per-segment block
-norms, and takes the supremum.  Two independent evaluators are provided:
-a linear-time dynamic program (baire_norm) and an exponential exhaustive
-enumeration (baire_norm_oracle); in exact mode they agree bit for bit.
+norms, and takes the supremum.  Two independent evaluators are provided.
+One linear-time post-order dynamic program yields the value (baire_norm),
+the least attaining family (baire_norm_witness) and the single-segment
+p = 0 variant (baire_norm_zero).  The exponential exhaustive enumeration
+(baire_norm_oracle) stays separate and definitional; in exact mode the
+two agree bit for bit, witnesses included.
 
 Attainment of the supremum (finite support): a segment contributes one
 coordinate per node it contains, so nodes carrying coefficient zero add
@@ -28,7 +31,6 @@ a single segment starts here and owns the whole subtree.
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -229,100 +231,136 @@ def segment_vector(x, segment):
 # ---------------------------------------------------------------------------
 # dynamic program
 
-def _post_order(closure):
-    # children are strictly longer than parents, so descending length is
-    # a valid post-order
-    return sorted(closure, key=lambda n: (-len(n), n))
+def _segment_dp(x, kind, p, *, witness):
+    """The one post-order pass behind baire_norm, baire_norm_witness and
+    baire_norm_zero.
 
+    Exact mode runs on x.scaled() integers, binary64 mode on float(c).
+    Nodes are indexed in length-lexicographic order, so index order is
+    node_key order and every parent precedes its children.  Per node i:
 
-def _close_power(acc, kind, p, exact):
-    if exact:
-        if kind is BasisKind.L2:
-            return acc  # acc is already the squared block norm; p == 2
-        return acc ** p.value.numerator
-    pf = float(p.value)
-    if kind is BasisKind.L2:
-        return acc ** (pf / 2.0)
-    return acc ** pf
+    - acc[i]: the best single-segment block accumulator starting at i
+      (an absolute sum, a sum of squares or a maximum); end[i]: its least
+      attaining end; first[i]: the first carrier on i..end[i], or -1 when
+      that chain carries no coefficient.  (first[i], end[i]) is then the
+      trimmed best segment.
+    - for p >= 1, power[i]: the best family power within i's subtree;
+      least[i] and size[i]: the least member and the size of the least
+      attaining family; here[i]: whether that family is the single
+      segment starting at i.
 
+    Ties resolve toward the least family in the (node_key(min),
+    node_key(max)) order of the oracle, so no family is built until the
+    winner is read off the flags top-down.
 
-def _dp_rows(closure, coef, kind, p, exact, tops):
-    """Run the two accumulations over the subtrees rooted at `tops`.
-
-    Returns {top: (m, best)} where m is the best single-segment block
-    accumulator starting at top and best is the best family power value
-    within top's subtree.
+    Returns (NormValue, witness): for p >= 1 the sorted trimmed family
+    (None unless requested), for p = 0 the trimmed segment (None for the
+    zero vector).  The p = 0 value is the root accumulator: accumulators
+    only grow toward the root, so the root is the least node attaining
+    the maximum.
     """
-    zero = 0 if exact else 0.0
-    m = {}
-    best = {}
-    order = [n for n in _post_order(closure)
-             if any(n[: len(t)] == t for t in tops)]
-    is_l1 = kind is BasisKind.L1
-    is_l2 = kind is BasisKind.L2
-    for v in order:
-        kids = closure.children(v)
-        cmax = zero
-        csum = zero
-        for c in kids:
-            if m[c] > cmax:
-                cmax = m[c]
-            csum += best[c]
-        a = coef(v)
-        if is_l1:
-            acc = abs(a) + cmax
-        elif is_l2:
-            acc = a * a + cmax
-        else:
-            acc = abs(a) if abs(a) > cmax else cmax
-        m[v] = acc
-        closed = _close_power(acc, kind, p, exact)
-        best[v] = closed if closed > csum else csum
-    return {t: (m[t], best[t]) for t in tops}
-
-
-def _dp_total(x, kind, p, exact, parallel):
-    closure = x.support_closure()
-    if not len(closure):
-        return (0 if exact else 0.0, 1)
+    if not isinstance(kind, BasisKind):
+        raise InvalidParameter(f"unknown basis kind {kind!r}")
+    exact = exact_mode(kind, p)
+    coeffs = x._coeffs
+    # the zero vector runs as a lone root without coefficient
+    order = list(x.support_closure()) or [()]
+    n = len(order)
     if exact:
         d, ints = x.scaled()
-        coef = lambda n: ints.get(n, 0)
-        scale = d ** p.value.numerator if kind is not BasisKind.L2 else d * d
+        coef = [ints.get(v, 0) for v in order]
+        zero = 0
     else:
-        floats = {n: float(c) for n, c in x.coeffs.items()}
-        coef = lambda n: floats.get(n, 0.0)
-        scale = 1
-    root = ()
-    kids = closure.children(root)
-    if parallel and len(kids) > 1:
-        with ThreadPoolExecutor(max_workers=len(kids)) as pool:
-            rows = list(
-                pool.map(
-                    lambda c: _dp_rows(closure, coef, kind, p, exact, (c,))[c],
-                    kids,
-                )
-            )
+        coef = [float(coeffs[v]) if v in coeffs else 0.0 for v in order]
+        zero = 0.0
+    index = {v: i for i, v in enumerate(order)}
+    kids = [[] for _ in order]
+    for i in range(1, n):
+        kids[index[order[i][:-1]]].append(i)
+
+    is_l2 = kind is BasisKind.L2
+    is_c0 = kind is BasisKind.C0
+    family = not p.is_zero
+    if not family:
+        ex = 1
+    elif exact:
+        ex = 1 if is_l2 else p.value.numerator  # L2 accumulates squares
     else:
-        table = _dp_rows(closure, coef, kind, p, exact, kids)
-        rows = [table[c] for c in kids]
-    zero = 0 if exact else 0.0
-    cmax = zero
-    csum = zero
-    for mc, bc in rows:
-        if mc > cmax:
-            cmax = mc
-        csum += bc
-    a = coef(root)
-    if kind is BasisKind.L1:
-        acc = abs(a) + cmax
-    elif kind is BasisKind.L2:
-        acc = a * a + cmax
+        ex = float(p.value) / 2.0 if is_l2 else float(p.value)
+    # least member of an empty family: after every key first * n + end
+    empty = n * n
+    acc = [zero] * n
+    end = [0] * n
+    first = [0] * n
+    power = [zero] * n
+    least = [empty] * n
+    size = [0] * n
+    here = [False] * n
+    for i in range(n - 1, -1, -1):
+        ext, e_end, via = zero, i, -1
+        csum, lo, k = zero, empty, 0
+        for c in kids[i]:
+            ac = acc[c]
+            if ac > ext or (ac == ext and end[c] < e_end):
+                ext, e_end, via = ac, end[c], c
+            csum += power[c]
+            if least[c] < lo:
+                lo = least[c]
+            k += size[c]
+        a = coef[i]
+        own = a * a if is_l2 else abs(a)
+        if is_c0:
+            stop = own >= ext
+            m = own if stop else ext
+        else:
+            stop = ext == zero
+            m = own + ext
+        # i is its own least attaining end when extending gains nothing;
+        # in c0 that holds as soon as |a| reaches the best extension
+        acc[i] = m
+        end[i] = i if stop else e_end
+        if order[i] in coeffs:
+            first[i] = i
+        else:
+            first[i] = -1 if stop else first[via]
+        if not family:
+            continue
+        closed = m if ex == 1 else m ** ex
+        f = first[i]
+        t = f * n + end[i] if f >= 0 else empty
+        if closed != csum:
+            start = closed > csum
+        else:  # the lexicographically smaller family wins the tie
+            start = k > 0 and (t < lo or (t == lo and k > 1))
+        here[i] = start
+        if start:
+            power[i], least[i], size[i] = closed, t, int(f >= 0)
+        else:
+            power[i], least[i], size[i] = csum, lo, k
+
+    if not family:
+        nv = NormValue.exact(Fraction(acc[0], d * d if is_l2 else d),
+                             2 if is_l2 else 1)
+        if first[0] < 0:
+            return nv, None
+        return nv, Segment(order[first[0]], order[end[0]])
+    if exact:
+        scale = d * d if is_l2 else d ** p.value.numerator
+        nv = NormValue.exact(Fraction(power[0], scale), p.value)
     else:
-        acc = abs(a) if abs(a) > cmax else cmax
-    closed = _close_power(acc, kind, p, exact)
-    total = closed if closed > csum else csum
-    return total, scale
+        nv = NormValue.approximate(power[0] ** (1.0 / float(p.value)))
+    if not witness:
+        return nv, None
+    segs = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if not here[i]:
+            stack.extend(kids[i])
+        elif first[i] >= 0:
+            segs.append((first[i], end[i]))
+    segs.sort()
+    return nv, tuple(Segment(order[f], order[e]) for f, e in segs)
 
 
 def baire_norm(x, kind, p, *, parallel=False):
@@ -330,20 +368,36 @@ def baire_norm(x, kind, p, *, parallel=False):
     segments of the p-aggregate of per-segment block norms.
 
     Exact for (L1 or C0, p in {1, 2}) and (L2, p = 2); binary64
-    otherwise, with downstream comparisons at APPROX_TOL.
+    otherwise, with downstream comparisons at APPROX_TOL.  `parallel` is
+    accepted for compatibility and ignored: the pass is serial.
     """
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter("use baire_norm_zero for the p = 0 variant")
-    exact = exact_mode(kind, p)
-    total, scale = _dp_total(x, kind, p, exact, parallel)
-    if exact:
-        return NormValue.exact(Fraction(total, scale), p.value)
-    return NormValue.approximate(total ** (1.0 / float(p.value)))
+    return _segment_dp(x, kind, p, witness=False)[0]
+
+
+def baire_norm_witness(x, kind, p):
+    """As baire_norm, also returning an attaining trimmed segment family,
+    lexicographically least among the maximizers."""
+    p = ExponentP.coerce(p)
+    if p.is_zero:
+        raise InvalidParameter(
+            "use baire_norm_zero(..., with_witness=True) for p = 0"
+        )
+    return _segment_dp(x, kind, p, witness=True)
+
+
+def baire_norm_zero(x, kind, *, with_witness=False):
+    """Maximum block norm over single segments with endpoints in the
+    support closure; exact for every supported basis.  The witness is
+    the least maximizing segment, trimmed."""
+    nv, seg = _segment_dp(x, kind, P_ZERO, witness=True)
+    return (nv, seg) if with_witness else nv
 
 
 # ---------------------------------------------------------------------------
-# witness-producing variants (Fractions throughout; slower, reproducible)
+# exhaustive oracle
 
 def _family_key(family):
     return tuple(
@@ -373,67 +427,6 @@ def _better(cand, incumbent):
         return cand if cand[0] > incumbent[0] else incumbent
     return cand if _family_key(cand[1]) < _family_key(incumbent[1]) else incumbent
 
-
-def _witness_dp(x, kind, p, exact):
-    closure = x.support_closure()
-    if not len(closure):
-        return (Fraction(0) if exact else 0.0), ()
-    coeffs = x.coeffs
-    if exact:
-        coef = lambda n: coeffs.get(n, Fraction(0))
-    else:
-        coef = lambda n: float(coeffs.get(n, 0))
-    zero = Fraction(0) if exact else 0.0
-    m = {}
-    best = {}
-    for v in _post_order(closure):
-        kids = closure.children(v)
-        # best single segment starting at v: extend toward the child with
-        # the largest accumulator (ties toward the least deep endpoint)
-        a = coef(v)
-        ext_acc, ext_end = zero, v
-        for c in kids:
-            acc_c, end_c = m[c]
-            if acc_c > ext_acc or (acc_c == ext_acc and
-                                   node_key(end_c) < node_key(ext_end)):
-                ext_acc, ext_end = acc_c, end_c
-        if kind is BasisKind.L1:
-            acc = abs(a) + ext_acc
-        elif kind is BasisKind.L2:
-            acc = a * a + ext_acc
-        else:
-            acc = abs(a) if abs(a) >= ext_acc else ext_acc
-        end = v if ext_acc == zero else ext_end
-        m[v] = (acc, end)
-        closed = _close_power(acc, kind, p, exact)
-        trimmed = _trim_segment(x, v, end)
-        start_here = (closed, (trimmed,) if trimmed else ())
-        csum = zero
-        fam = []
-        for c in kids:
-            bv, bf = best[c]
-            csum += bv
-            fam.extend(bf)
-        below = (csum, _sorted_family(fam))
-        best[v] = _better(start_here, below)
-    return best[()]
-
-
-def baire_norm_witness(x, kind, p):
-    """As baire_norm, also returning an attaining trimmed segment family,
-    lexicographically least among the maximizers."""
-    p = ExponentP.coerce(p)
-    if p.is_zero:
-        raise InvalidParameter("use baire_norm_zero_witness for p = 0")
-    exact = exact_mode(kind, p)
-    power, family = _witness_dp(x, kind, p, exact)
-    if exact:
-        return NormValue.exact(power, p.value), family
-    return NormValue.approximate(power ** (1.0 / float(p.value))), family
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
 
 @lru_cache(maxsize=512)
 def _segment_families(closure):
@@ -508,35 +501,6 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
         else NormValue.approximate(total ** (1.0 / float(p.value)))
     )
     return (nv, family) if with_witness else nv
-
-
-# ---------------------------------------------------------------------------
-# single-segment (p = 0) variant
-
-def baire_norm_zero(x, kind, *, with_witness=False):
-    """Maximum block norm over single segments with endpoints in the
-    support closure; exact for every supported basis."""
-    closure = x.support_closure()
-    if not len(closure):
-        nv = basis_norm(kind, [])
-        return (nv, None) if with_witness else nv
-    best_nv = None
-    best_seg = None
-    for v in closure:
-        for i in range(len(v) + 1):
-            seg = Segment(v[:i], v)
-            nv = basis_norm(kind, segment_vector(x, seg))
-            if best_nv is None or nv.compare(best_nv) > 0:
-                best_nv, best_seg = nv, seg
-            elif nv.compare(best_nv) == 0:
-                key = (node_key(seg.min_node), node_key(seg.max_node))
-                cur = (node_key(best_seg.min_node), node_key(best_seg.max_node))
-                if key < cur:
-                    best_seg = seg
-    if with_witness:
-        trimmed = _trim_segment(x, best_seg.min_node, best_seg.max_node)
-        return best_nv, trimmed
-    return best_nv
 
 
 # ---------------------------------------------------------------------------

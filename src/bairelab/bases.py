@@ -131,9 +131,6 @@ class NormValue:
         return f"NormValue(~{self.approx!r})"
 
 
-ZERO_L1 = NormValue.exact(0, 1)
-
-
 def basis_norm(kind, coeffs):
     """Exact norm of a finite coefficient combination in the given basis."""
     cs = [Fraction(c) for c in coeffs]

@@ -11,7 +11,6 @@ import sys
 
 from . import checkers, serialize, trees
 from .baire import (
-    baire_norm,
     baire_norm_oracle,
     baire_norm_witness,
     baire_norm_zero,
@@ -114,8 +113,7 @@ def _cmd_norm(args):
     if args.oracle:
         nv, witness = baire_norm_oracle(x, args.basis, args.p, with_witness=True)
         return serialize.norm_to_json(nv, witness)
-    nv = baire_norm(x, args.basis, args.p, parallel=args.parallel)
-    _, witness = baire_norm_witness(x, args.basis, args.p)
+    nv, witness = baire_norm_witness(x, args.basis, args.p)
     return serialize.norm_to_json(nv, witness)
 
 
@@ -150,9 +148,7 @@ def _cmd_gen(args):
 
 def _cmd_check_bs(args):
     fam = serialize.family_from_json(load_json_file(args.family))
-    verdict = checkers.bs_obstruction_check(
-        fam, args.epsilon, parallel=args.parallel
-    )
+    verdict = checkers.bs_obstruction_check(fam, args.epsilon)
     return serialize.verdict_to_json(verdict)
 
 
@@ -255,7 +251,8 @@ def build_parser():
     p.add_argument("--p", type=_exponent, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive oracle evaluator")
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="accepted for compatibility; runs serially")
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("gen", help="generate corpus files")
@@ -275,7 +272,8 @@ def build_parser():
     p = sub.add_parser("check-bs", help="split-mean obstruction check")
     p.add_argument("--family", required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="accepted for compatibility; runs serially")
     p.set_defaults(func=_cmd_check_bs)
 
     p = sub.add_parser("check-abs", help="alternating obstruction falsifier")

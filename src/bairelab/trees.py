@@ -133,8 +133,13 @@ def prefix_closure(nodes):
     closed = set()
     for n in nodes:
         n = tuple(n)
-        for i in range(len(n) + 1):
-            closed.add(n[:i])
+        # walk up from the longest prefix; once one is present, so are
+        # all of its own prefixes
+        for i in range(len(n), -1, -1):
+            prefix = n[:i]
+            if prefix in closed:
+                break
+            closed.add(prefix)
     return FiniteTree(closed, _validated=True)
 
 

@@ -36,7 +36,13 @@ from bairelab.errors import (
     TreeMismatch,
 )
 
-from util import canonical_shapes, random_rational_vector, seeded_rng, tree_shapes
+from util import (
+    canonical_shapes,
+    random_rational_vector,
+    seeded_rng,
+    tree_shapes,
+    zero_oracle,
+)
 
 L1, L2, C0 = BasisKind.L1, BasisKind.L2, BasisKind.C0
 
@@ -132,6 +138,10 @@ def test_zero_variant_examples():
     assert baire_norm_zero(ones, C0).power_base == 1
     assert baire_norm_zero(ones, L1).power_base == 3
     assert baire_norm_zero(delta(FORK, (0,), -2), L2).power_base == 4
+    with pytest.raises(InvalidParameter):
+        baire_norm_zero(ones, "l2")
+    with pytest.raises(InvalidParameter):
+        baire_norm(ones, "l2", 1)
 
 
 def test_zero_variant_witness():
@@ -139,6 +149,22 @@ def test_zero_variant_witness():
     nv, seg = baire_norm_zero(ones, L1, with_witness=True)
     assert nv.power_base == 3
     assert seg == Segment((), (0, 0))
+
+
+def test_zero_variant_matches_segment_scan():
+    rng = seeded_rng(61)
+    for nodes in canonical_shapes(6):
+        tree = make_tree(nodes)
+        x = random_rational_vector(tree, rng, allow_zero=True)
+        # a thinned copy puts zero nodes above and between the carriers
+        thin = BaireVector(
+            tree, {n: c for n, c in x.coeffs.items() if rng.random() < 0.5}
+        )
+        for y in (x, thin):
+            for kind in (L1, L2, C0):
+                nv, seg = baire_norm_zero(y, kind, with_witness=True)
+                ref_nv, ref_seg = zero_oracle(y, kind)
+                assert nv == ref_nv and seg == ref_seg
 
 
 def test_p_zero_routed_to_zero_norm():
@@ -170,6 +196,9 @@ def test_oracle_equivalence_with_sparse_support():
         x = random_rational_vector(tree, rng, allow_zero=True)
         for kind, p in EXACT_PAIRS:
             assert baire_norm(x, kind, p) == baire_norm_oracle(x, kind, p)
+            assert baire_norm_witness(x, kind, p)[1] == baire_norm_oracle(
+                x, kind, p, with_witness=True
+            )[1]
 
 
 def test_approx_mode_agrees_with_oracle():

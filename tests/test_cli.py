@@ -83,23 +83,33 @@ def test_norm_command_example(capsys, tmp_path):
 def test_norm_oracle_and_parallel_agree(capsys, tmp_path):
     t = make_tree([(), (0,), (1,), (0, 0), (0, 1)])
     x = BaireVector(t, {(0,): F(1, 2), (0, 0): 1, (0, 1): -1, (1,): F(5, 3)})
-    vec = write(tmp_path, "x.json", vector_to_json(x))
-    runs = {}
-    for label, extra in {
-        "plain": [],
-        "oracle": ["--oracle"],
-        "parallel": ["--parallel"],
-    }.items():
-        code, out, _ = run_cli(
-            capsys, "norm", "--vector", vec, "--basis", "l2", "--p", "2", *extra
+    chain = make_tree([(), (0,), (0, 0)])
+    y = BaireVector(chain, {(0,): 2, (0, 0): 1})
+    for name, vector, basis, p in [
+        ("x.json", x, "l2", "2"),
+        ("y.json", y, "c0", "1"),
+    ]:
+        vec = write(tmp_path, name, vector_to_json(vector))
+        runs = {}
+        for label, extra in {
+            "plain": [],
+            "oracle": ["--oracle"],
+            "parallel": ["--parallel"],
+        }.items():
+            code, out, _ = run_cli(
+                capsys, "norm", "--vector", vec, "--basis", basis, "--p", p,
+                *extra
+            )
+            assert code == 0
+            runs[label] = out
+        assert runs["plain"] == runs["parallel"]
+        assert (
+            json.loads(runs["oracle"])["exact"]
+            == json.loads(runs["plain"])["exact"]
         )
-        assert code == 0
-        runs[label] = out
-    assert runs["plain"] == runs["parallel"]
-    assert (
-        json.loads(runs["oracle"])["exact"]
-        == json.loads(runs["plain"])["exact"]
-    )
+    # the c0 witness is the oracle's least maximizer, byte for byte
+    assert runs["plain"] == runs["oracle"]
+    assert json.loads(runs["plain"])["witness"] == [{"min": [0], "max": [0]}]
 
 
 def test_norm_zero_variant(capsys, tmp_path):

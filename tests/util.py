@@ -4,8 +4,8 @@ definitional oracles kept independent of the library's fast paths."""
 import random
 from fractions import Fraction
 
-from bairelab import BaireVector
-from bairelab.trees import FiniteTree, is_prefix
+from bairelab import BaireVector, Segment, basis_norm, segment_vector
+from bairelab.trees import FiniteTree, is_prefix, node_key
 
 
 def tree_shapes(max_nodes, branching):
@@ -70,6 +70,29 @@ def derived_oracle(tree):
         for s in nodes
         if any(s != t and is_prefix(s, t) for t in nodes)
     }
+
+
+def zero_oracle(x, kind):
+    """Definitional p = 0 scan: the block norm of every segment with
+    endpoints in the support closure.  Among maximizers it takes the least
+    untrimmed (min, max) in length-lexicographic order, then trims the
+    winner to its first and last support node (None for the zero
+    vector)."""
+    best = None
+    for v in x.support_closure():
+        for i in range(len(v) + 1):
+            seg = Segment(v[:i], v)
+            nv = basis_norm(kind, segment_vector(x, seg))
+            key = (node_key(seg.min_node), node_key(seg.max_node))
+            if best is None or nv.compare(best[0]) > 0 or (
+                nv.compare(best[0]) == 0 and key < best[1]
+            ):
+                best = (nv, key, seg)
+    if best is None:
+        return basis_norm(kind, []), None
+    nv, _, seg = best
+    carriers = [n for n in seg.nodes() if x[n] != 0]
+    return nv, Segment(carriers[0], carriers[-1])
 
 
 def random_subtree(tree, rng):

@@ -33,10 +33,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
-from .bases import APPROX_TOL, BasisKind, NormValue, basis_norm, deleted_first
+from .bases import BasisKind, NormValue, approx_equal, basis_norm, deleted_first
 from .errors import (
     InvalidParameter,
     InvalidSegment,
@@ -368,8 +367,9 @@ def baire_norm(x, kind, p, *, parallel=False):
     segments of the p-aggregate of per-segment block norms.
 
     Exact for (L1 or C0, p in {1, 2}) and (L2, p = 2); binary64
-    otherwise, with downstream comparisons at APPROX_TOL.  `parallel` is
-    accepted for compatibility and ignored: the pass is serial.
+    otherwise, with downstream comparisons at bases.approx_equal's
+    relative-plus-absolute tolerance.  `parallel` is accepted for
+    compatibility and ignored: the pass is serial.
     """
     p = ExponentP.coerce(p)
     if p.is_zero:
@@ -379,7 +379,12 @@ def baire_norm(x, kind, p, *, parallel=False):
 
 def baire_norm_witness(x, kind, p):
     """As baire_norm, also returning an attaining trimmed segment family,
-    lexicographically least among the maximizers."""
+    lexicographically least among the maximizers.
+
+    The least-maximizer promise is exact in exact mode only.  In binary64
+    mode family values are float sums, so families whose exact values tie
+    can differ by rounding, and the family returned is then least among
+    the maximizers only up to that rounding."""
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter(
@@ -428,28 +433,61 @@ def _better(cand, incumbent):
     return cand if _family_key(cand[1]) < _family_key(incumbent[1]) else incumbent
 
 
-@lru_cache(maxsize=512)
 def _segment_families(closure):
     """Every valid family over `closure`: an antichain of start nodes,
     one downward segment per start node.  Exponential; oracle use only."""
     if not len(closure):
         return ((),)
-    descendants = {
-        v: tuple(u for u in closure if len(u) >= len(v) and u[: len(v)] == v)
-        for v in closure
-    }
+    descendants = {v: [] for v in closure}
+    for u in closure:
+        for i in range(len(u) + 1):
+            descendants[u[:i]].append(u)
 
     def fam(v):
-        out = []
         child_opts = [fam(c) for c in closure.children(v)]
-        for combo in itertools.product(*child_opts):
-            merged = tuple(itertools.chain.from_iterable(combo))
-            out.append(merged)
-        for u in descendants[v]:
-            out.append(((v, u),))
+        out = [sum(combo, ()) for combo in itertools.product(*child_opts)]
+        out.extend(((v, u),) for u in descendants[v])
         return tuple(out)
 
     return fam(())
+
+
+def _segment_powers(x, closure, kind, p, exact):
+    """The p-th power of the block norm of every segment (v[:i], v) with
+    endpoints in the closure, from one upward walk per closure node that
+    keeps a running sum of |a|, sum of a * a or max |a| over x.scaled()
+    integers.
+
+    Exact mode returns integers over the common scale D ** p (D ** 2 in
+    l2, which keeps squares); binary64 mode returns the floats
+    basis_norm(...).approx ** p bit for bit.  Returns (powers, scale),
+    scale None in binary64 mode."""
+    d, ints = x.scaled()
+    is_l2 = kind is BasisKind.L2
+    is_c0 = kind is BasisKind.C0
+    ex = 1 if is_l2 else p.value.numerator
+    scale = (d * d if is_l2 else d ** ex) if exact else None
+    # the block norm's own scale and root, as in NormValue.exact
+    block_scale = d * d if is_l2 else d
+    root = 1 / (2.0 if is_l2 else 1.0)
+    fp = float(p.value)
+    powers = {}
+    for v in closure:
+        acc = 0
+        for i in range(len(v), -1, -1):
+            seg = (v[:i], v)
+            a = ints.get(seg[0], 0)
+            if is_l2:
+                acc += a * a
+            elif is_c0:
+                acc = max(acc, abs(a))
+            else:
+                acc += abs(a)
+            if exact:
+                powers[seg] = acc ** ex
+            else:
+                powers[seg] = (float(Fraction(acc, block_scale)) ** root) ** fp
+    return powers, scale
 
 
 def _oracle_guard(closure):
@@ -462,41 +500,33 @@ def _oracle_guard(closure):
 
 def baire_norm_oracle(x, kind, p, *, with_witness=False):
     """Exhaustive reference evaluator; bit-identical to baire_norm in
-    exact mode.  Requires the support closure to stay within
-    BAIRELAB_MAX_ORACLE_NODES (default 14) nodes."""
+    exact mode.  It sums integer segment powers (floats in binary64 mode)
+    over every family of an uncached enumeration.  Requires the support
+    closure to stay within BAIRELAB_MAX_ORACLE_NODES (default 14) nodes."""
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter("use baire_norm_zero for the p = 0 variant")
     closure = x.support_closure()
     _oracle_guard(closure)
     exact = exact_mode(kind, p)
-    powers = {}
-    for v in closure:
-        for i in range(len(v) + 1):
-            a = v[:i]
-            nv = basis_norm(kind, segment_vector(x, Segment(a, v)))
-            if exact:
-                if kind is BasisKind.L2:
-                    powers[(a, v)] = nv.power_base
-                else:
-                    powers[(a, v)] = nv.power_base ** p.value.numerator
-            else:
-                powers[(a, v)] = nv.approx ** float(p.value)
-    zero = Fraction(0) if exact else 0.0
+    powers, scale = _segment_powers(x, closure, kind, p, exact)
+    zero = 0 if exact else 0.0
     incumbent = None
     for fam in _segment_families(closure):
         val = zero
         for seg in fam:
             val += powers[seg]
         if with_witness:
-            trimmed = [_trim_segment(x, a, v) for a, v in fam]
-            fam_w = _sorted_family([s for s in trimmed if s is not None])
-            incumbent = _better((val, fam_w), incumbent)
+            # _better keeps the incumbent against any strictly lower value
+            if incumbent is None or val >= incumbent[0]:
+                trimmed = [_trim_segment(x, a, v) for a, v in fam]
+                fam_w = _sorted_family([s for s in trimmed if s is not None])
+                incumbent = _better((val, fam_w), incumbent)
         elif incumbent is None or val > incumbent[0]:
             incumbent = (val, ())
     total, family = incumbent
     nv = (
-        NormValue.exact(total, p.value)
+        NormValue.exact(Fraction(total, scale), p.value)
         if exact
         else NormValue.approximate(total ** (1.0 / float(p.value)))
     )
@@ -547,7 +577,7 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     rhs = 0.0
     for a, y in zip(coeffs, ys):
         rhs += abs(float(a)) ** float(p.value) * _norm_power(y, kind, p, exact)
-    return CheckReport(abs(lhs - rhs) <= APPROX_TOL, lhs, rhs, False)
+    return CheckReport(approx_equal(lhs, rhs), lhs, rhs, False)
 
 
 def check_branch_isometry(x, kind, p):
@@ -593,4 +623,4 @@ def check_root_decomposition(x, kind, p):
         rhs += _norm_power(BaireVector(sub, coeffs), star, p, exact)
     if exact:
         return CheckReport(lhs == rhs, lhs, rhs, True)
-    return CheckReport(abs(lhs - rhs) <= APPROX_TOL, lhs, rhs, False)
+    return CheckReport(approx_equal(lhs, rhs), lhs, rhs, False)

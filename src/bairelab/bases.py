@@ -9,13 +9,22 @@ roots are taken only when a float is demanded.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter
 
-#: Tolerance used for every comparison involving an approximate value.
+#: Tolerances of every comparison involving an approximate value: two
+#: floats agree when they are within APPROX_REL_TOL of the larger
+#: magnitude, or within APPROX_TOL absolutely near zero.
 APPROX_TOL = 1e-9
+APPROX_REL_TOL = 1e-9
+
+
+def approx_equal(a, b):
+    """Scale-aware float equality with math.isclose semantics."""
+    return math.isclose(a, b, rel_tol=APPROX_REL_TOL, abs_tol=APPROX_TOL)
 
 
 class BasisKind(enum.Enum):
@@ -76,7 +85,7 @@ class NormValue:
 
     def compare(self, other):
         """Three-way comparison: exact when both sides admit it, else
-        float comparison at APPROX_TOL."""
+        float comparison within approx_equal's tolerance."""
         if (
             self.is_exact
             and other.is_exact
@@ -87,10 +96,9 @@ class NormValue:
             lhs = self.power_base**q
             rhs = other.power_base**p
             return (lhs > rhs) - (lhs < rhs)
-        diff = self.approx - other.approx
-        if abs(diff) <= APPROX_TOL:
+        if approx_equal(self.approx, other.approx):
             return 0
-        return 1 if diff > 0 else -1
+        return 1 if self.approx > other.approx else -1
 
     def equals(self, other):
         return self.compare(other) == 0
@@ -103,10 +111,10 @@ class NormValue:
                 return 1
             rhs = q ** self.inv_exp.numerator
             return (self.power_base > rhs) - (self.power_base < rhs)
-        diff = self.approx - float(q)
-        if abs(diff) <= APPROX_TOL:
+        q = float(q)
+        if approx_equal(self.approx, q):
             return 0
-        return 1 if diff > 0 else -1
+        return 1 if self.approx > q else -1
 
     def at_least(self, q):
         return self._cmp_scalar(q) >= 0
@@ -148,7 +156,8 @@ def triangle_leq(whole, part1, part2):
 
     Exact mode requires a shared integer inverse exponent in {1, 2};
     for 2 the square-root-free route is A <= B + C + 2*sqrt(B*C), decided
-    by one cross-multiplied squaring.  Falls back to floats at APPROX_TOL.
+    by one cross-multiplied squaring.  Falls back to floats, where a sum
+    the whole exceeds only within approx_equal's tolerance still passes.
     """
     if (
         whole.is_exact
@@ -166,4 +175,5 @@ def triangle_leq(whole, part1, part2):
             if gap <= 0:
                 return True
             return gap * gap <= 4 * b * c
-    return whole.approx <= part1.approx + part2.approx + APPROX_TOL
+    bound = part1.approx + part2.approx
+    return whole.approx <= bound or approx_equal(whole.approx, bound)

@@ -210,7 +210,11 @@ def _cmd_probe_wf(args):
         if name == "zeros-branch":
             lazy = trees.zeros_branch(args.budget)
         elif name.startswith("bounded:"):
-            lazy = trees.depth_bounded(int(name.split(":", 1)[1]), args.budget)
+            try:
+                depth = int(name.split(":", 1)[1])
+            except ValueError:
+                raise ValidationError(f"{name!r} needs an integer depth")
+            lazy = trees.depth_bounded(depth, args.budget)
         else:
             raise InvalidParameter(f"unknown lazy family {name!r}")
     verdict = probe_wf(lazy, args.depth)

@@ -130,7 +130,15 @@ def tree_from_json(obj):
     nodes = obj["nodes"]
     if not isinstance(nodes, list):
         raise ValidationError('"nodes" must be an array of arrays')
-    return make_tree([tuple(int(e) for e in n) for n in nodes])
+    return make_tree([_node_from_json(n) for n in nodes])
+
+
+def _node_from_json(node):
+    """A node from its JSON array; floats and booleans are rejected, not
+    coerced (bool is an int subclass, so true would read as 1)."""
+    if not isinstance(node, list) or any(type(v) is not int for v in node):
+        raise ValidationError(f"a node must be an array of integers, got {node!r}")
+    return tuple(node)
 
 
 def vector_to_json(x):
@@ -146,12 +154,23 @@ def vector_from_json(obj, tree=None):
         raise ValidationError("a vector object must be a JSON object")
     if tree is None:
         tree = tree_from_json(obj.get("tree", {}))
-    entries = obj.get("entries", [])
+    return BaireVector(tree, _coeffs_from_entries(obj.get("entries", [])))
+
+
+def _coeffs_from_entries(entries):
+    """Coefficients of an entry array: objects with an integer-array
+    "node" and a rational "coef"; repeated nodes add up."""
+    if not isinstance(entries, list):
+        raise ValidationError("entries must be an array")
     coeffs = {}
     for e in entries:
-        node = tuple(int(v) for v in e["node"])
+        if not isinstance(e, dict) or "node" not in e or "coef" not in e:
+            raise ValidationError(
+                f'an entry must be an object with "node" and "coef", got {e!r}'
+            )
+        node = _node_from_json(e["node"])
         coeffs[node] = coeffs.get(node, Fraction(0)) + parse_fraction(e["coef"])
-    return BaireVector(tree, coeffs)
+    return coeffs
 
 
 def segment_to_json(seg):
@@ -248,13 +267,8 @@ def family_from_json(obj):
     kind = BasisKind.from_tag(obj.get("basis", ""))
     p = parse_exponent(obj.get("p", "1"))
     tree = tree_from_json(obj.get("tree", {}))
-    vectors = []
-    for entries in obj.get("vectors", []):
-        coeffs = {}
-        for e in entries:
-            node = tuple(int(v) for v in e["node"])
-            coeffs[node] = coeffs.get(node, Fraction(0)) + parse_fraction(e["coef"])
-        vectors.append(BaireVector(tree, coeffs))
+    vectors = [BaireVector(tree, _coeffs_from_entries(entries))
+               for entries in obj.get("vectors", [])]
     return VectorFamily(vectors, BaireContext(kind, p))
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,11 +23,13 @@ from bairelab import (
     linear_combination,
     make_tree,
     prefix_closure,
+    random_tree,
     segment_vector,
     spine,
     vector_combine,
 )
-from bairelab.baire import ExponentP
+from bairelab.baire import ExponentP, _segment_families
+from bairelab.bases import NormValue, triangle_leq
 from bairelab.errors import (
     InvalidParameter,
     InvalidSegment,
@@ -37,6 +41,7 @@ from bairelab.errors import (
 )
 
 from util import (
+    brute_families,
     canonical_shapes,
     random_rational_vector,
     seeded_rng,
@@ -47,6 +52,7 @@ from util import (
 L1, L2, C0 = BasisKind.L1, BasisKind.L2, BasisKind.C0
 
 EXACT_PAIRS = [(L1, 1), (L1, 2), (C0, 1), (C0, 2), (L2, 2)]
+APPROX_PAIRS = [(L2, 1), (L1, Fraction(3, 2)), (C0, 3)]
 
 FORK = make_tree([(), (0,), (1,)])
 FORK_CHAIN = make_tree([(), (0,), (1,), (0, 0)])
@@ -201,16 +207,100 @@ def test_oracle_equivalence_with_sparse_support():
             )[1]
 
 
+def test_segment_families_match_definitional_brute_force():
+    for nodes in canonical_shapes(6):
+        tree = make_tree(nodes)
+        families = _segment_families(tree)
+        as_sets = [frozenset(f) for f in families]
+        assert len(set(as_sets)) == len(families) == len(set(families))
+        assert set(as_sets) == set(brute_families(tree))
+
+
+# SHA-256 over repr(baire_norm_oracle(x, kind, p, with_witness=w)), one
+# line per call, taken with the Fraction-based oracle that preceded the
+# integer segment powers.  Loop order: tree_shapes(5, 3); per shape two
+# vectors drawn in turn from seeded_rng(1508), the second with zeros
+# allowed; the five exact and three binary64 pairs; w False, then True.
+ORACLE_DIGEST = (
+    "0dfb2e6f0a9adaa29725ea5d7ad93322656ed8fe9692b31ca385299c878dbca6"
+)
+
+
+def test_oracle_outputs_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    rng = seeded_rng(1508)
+    for nodes in tree_shapes(5, 3):
+        tree = make_tree(nodes)
+        for allow_zero in (False, True):
+            x = random_rational_vector(tree, rng, allow_zero=allow_zero)
+            for kind, p in EXACT_PAIRS + APPROX_PAIRS:
+                for w in (False, True):
+                    out = baire_norm_oracle(x, kind, p, with_witness=w)
+                    digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
 def test_approx_mode_agrees_with_oracle():
     rng = seeded_rng(5)
     tree = make_tree([(), (0,), (1,), (0, 0), (0, 1)])
     for _ in range(25):
         x = random_rational_vector(tree, rng)
-        for kind, p in [(L2, 1), (L1, Fraction(3, 2)), (C0, 3)]:
+        for kind, p in APPROX_PAIRS:
             a = baire_norm(x, kind, p)
             b = baire_norm_oracle(x, kind, p)
             assert not a.is_exact and not exact_mode(kind, ExponentP.of(p))
             assert a.approx == pytest.approx(b.approx, abs=1e-9)
+
+
+def test_approx_comparisons_scale_with_magnitude():
+    # near 1e10 one ulp exceeds the absolute floor APPROX_TOL, so the DP's
+    # and the oracle's float sums only agree to a relative tolerance
+    rng = seeded_rng(97)
+    p = Fraction(3, 2)
+    for trial in range(300):
+        tree = random_tree(7, trial)
+        x = BaireVector(tree, {
+            n: Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 4))
+            for n in tree
+        })
+        dp = baire_norm(x, L1, p)
+        oracle = baire_norm_oracle(x, L1, p)
+        assert dp.equals(oracle) and oracle.equals(dp), (trial, dp, oracle)
+        q = Fraction(oracle.approx)
+        assert dp.at_least(q) and dp.at_most(q)
+        assert triangle_leq(dp, oracle, NormValue.approximate(0.0))
+        rootless = BaireVector(tree, {n: c for n, c in x.coeffs.items() if n})
+        assert check_root_decomposition(rootless, L1, p).passed
+        branches = [
+            BaireVector(tree, {n: c for n, c in rootless.coeffs.items()
+                               if n[0] == lam})
+            for lam in sorted({n[0] for n in rootless.support})
+        ]
+        report = check_incomparable_additivity(
+            branches, [1] * len(branches), L1, p)
+        assert report.passed, (trial, report)
+
+
+def test_binary64_witness_is_least_up_to_rounding():
+    # two single segments share the exact sum 28/3; the DP's float sums
+    # differ by an ulp, so DP and oracle may name different maximizers
+    tree = make_tree([(), (1,), (1, 1), (1, 2), (1, 1, 1), (1, 1, 1, 1)])
+    x = BaireVector(tree, {
+        (): Fraction(-4, 3), (1,): -5, (1, 1): Fraction(1, 3),
+        (1, 1, 1): 1, (1, 1, 1, 1): Fraction(-5, 3), (1, 2): 3,
+    })
+    p = Fraction(3, 2)
+    nv = baire_norm(x, L1, p)
+    witnesses = [baire_norm_witness(x, L1, p)[1],
+                 baire_norm_oracle(x, L1, p, with_witness=True)[1]]
+    for family in witnesses:
+        assert len(family) == 1
+        assert sum(abs(c) for c in segment_vector(x, family[0])) == \
+            Fraction(28, 3)
+        blocks = [basis_norm(L1, segment_vector(x, s)).approx ** float(p)
+                  for s in family]
+        aggregate = math.fsum(blocks) ** (1 / float(p))
+        assert math.isclose(aggregate, nv.approx, rel_tol=1e-12)
 
 
 def test_parallel_evaluation_is_identical():

@@ -265,6 +265,49 @@ def test_cli_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+def _assert_validation_exit(code, out, err):
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] in ("ValidationError", "ParseError")
+
+
+@pytest.mark.parametrize("entry", [
+    {"node": [1.5], "coef": "1"},
+    {"node": [True], "coef": "1"},
+    {"coef": "1"},
+    "[1]",
+], ids=["float-node", "bool-node", "missing-node", "string-entry"])
+def test_norm_rejects_malformed_entries(capsys, tmp_path, entry):
+    doc = {"tree": {"nodes": [[], [1]]}, "entries": [entry]}
+    vec = write(tmp_path, "x.json", doc)
+    code, out, err = run_cli(
+        capsys, "norm", "--vector", vec, "--basis", "l1", "--p", "1"
+    )
+    _assert_validation_exit(code, out, err)
+
+
+def test_tree_nodes_share_the_strict_parser(capsys, tmp_path):
+    tree = write(tmp_path, "t.json", {"nodes": [[], [True]]})
+    code, out, err = run_cli(capsys, "rank", "--tree", tree)
+    _assert_validation_exit(code, out, err)
+
+
+def test_family_entries_share_the_strict_parser(capsys, tmp_path):
+    doc = {"basis": "l1", "p": "1", "tree": {"nodes": [[], [0], [1]]},
+           "vectors": [[{"node": [0], "coef": "1"}],
+                       [{"node": [True], "coef": "1"}]]}
+    fam = write(tmp_path, "fam.json", doc)
+    code, out, err = run_cli(capsys, "check-bs", "--family", fam,
+                             "--epsilon", "1/2")
+    _assert_validation_exit(code, out, err)
+
+
+def test_probe_wf_rejects_a_non_integer_bound(capsys):
+    code, out, err = run_cli(
+        capsys, "probe-wf", "--lazy", "bounded:x", "--depth", "3"
+    )
+    _assert_validation_exit(code, out, err)
+
+
 def test_cli_round_trip_rerun(capsys, tmp_path):
     # parsing a command's own emitted JSON and re-running is identical
     out1 = run_cli(capsys, "gen", "--family", "random", "--n", "8",

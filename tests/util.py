@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from bairelab import BaireVector, Segment, basis_norm, segment_vector
-from bairelab.trees import FiniteTree, is_prefix, node_key
+from bairelab.trees import FiniteTree, comparable, is_prefix, node_key
 
 
 def tree_shapes(max_nodes, branching):
@@ -93,6 +93,31 @@ def zero_oracle(x, kind):
     nv, _, seg = best
     carriers = [n for n in seg.nodes() if x[n] != 0]
     return nv, Segment(carriers[0], carriers[-1])
+
+
+def brute_families(tree):
+    """Definitional family enumeration: every set of segments (a, v), a a
+    prefix of v in the tree, in which each node of every segment is
+    incomparable with each node of every other segment.  Backtracks over
+    the segments node by node, without the min-node lemma; families come
+    back as frozensets of (a, v) pairs."""
+    segs = [(v[:i], v) for v in tree for i in range(len(v) + 1)]
+    chain = {s: [s[1][:i] for i in range(len(s[0]), len(s[1]) + 1)]
+             for s in segs}
+
+    def apart(s, t):
+        return not any(comparable(m, n) for m in chain[s] for n in chain[t])
+
+    out = []
+
+    def grow(start, chosen):
+        out.append(frozenset(chosen))
+        for j in range(start, len(segs)):
+            if all(apart(segs[j], t) for t in chosen):
+                grow(j + 1, chosen + [segs[j]])
+
+    grow(0, [])
+    return out
 
 
 def random_subtree(tree, rng):

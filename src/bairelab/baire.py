@@ -30,7 +30,6 @@ a single segment starts here and owns the whole subtree.
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -56,19 +55,8 @@ from .trees import (
 )
 from .verdicts import CheckReport
 
-#: Environment variable bounding the oracle's closure size.
-ORACLE_ENV = "BAIRELAB_MAX_ORACLE_NODES"
-DEFAULT_MAX_ORACLE_NODES = 14
-
-
-def max_oracle_nodes():
-    raw = os.environ.get(ORACLE_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORACLE_NODES
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameter(f"{ORACLE_ENV} must be an integer, got {raw!r}")
+#: Largest support closure the exhaustive oracle accepts.
+MAX_ORACLE_NODES = 14
 
 
 @dataclass(frozen=True)
@@ -190,15 +178,7 @@ def delta(tree, node, c=1):
 
 def vector_combine(a, x, b, y):
     """Coefficientwise a*x + b*y; both vectors must share a tree."""
-    if x.tree != y.tree:
-        raise TreeMismatch("vectors live on different trees")
-    a, b = Fraction(a), Fraction(b)
-    out = dict()
-    for n, c in x.coeffs.items():
-        out[n] = a * c
-    for n, c in y.coeffs.items():
-        out[n] = out.get(n, Fraction(0)) + b * c
-    return BaireVector(x.tree, out)
+    return linear_combination([(a, x), (b, y)])
 
 
 def linear_combination(pairs):
@@ -362,14 +342,13 @@ def _segment_dp(x, kind, p, *, witness):
     return nv, tuple(Segment(order[f], order[e]) for f, e in segs)
 
 
-def baire_norm(x, kind, p, *, parallel=False):
+def baire_norm(x, kind, p):
     """Norm of x: supremum over families of pairwise incomparable
     segments of the p-aggregate of per-segment block norms.
 
     Exact for (L1 or C0, p in {1, 2}) and (L2, p = 2); binary64
     otherwise, with downstream comparisons at bases.approx_equal's
-    relative-plus-absolute tolerance.  `parallel` is accepted for
-    compatibility and ignored: the pass is serial.
+    relative-plus-absolute tolerance.
     """
     p = ExponentP.coerce(p)
     if p.is_zero:
@@ -491,10 +470,10 @@ def _segment_powers(x, closure, kind, p, exact):
 
 
 def _oracle_guard(closure):
-    limit = max_oracle_nodes()
-    if len(closure) > limit:
+    if len(closure) > MAX_ORACLE_NODES:
         raise TooLargeForOracle(
-            f"support closure has {len(closure)} nodes, oracle bound is {limit}"
+            f"support closure has {len(closure)} nodes, "
+            f"oracle bound is {MAX_ORACLE_NODES}"
         )
 
 
@@ -502,7 +481,7 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
     """Exhaustive reference evaluator; bit-identical to baire_norm in
     exact mode.  It sums integer segment powers (floats in binary64 mode)
     over every family of an uncached enumeration.  Requires the support
-    closure to stay within BAIRELAB_MAX_ORACLE_NODES (default 14) nodes."""
+    closure to stay within MAX_ORACLE_NODES (14) nodes."""
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter("use baire_norm_zero for the p = 0 variant")

@@ -73,13 +73,6 @@ class NormValue:
     def is_exact(self):
         return self.power_base is not None
 
-    @property
-    def value(self):
-        return self.approx
-
-    def __float__(self):
-        return self.approx
-
     def _int_exp(self):
         return self.inv_exp.denominator == 1
 

@@ -19,7 +19,6 @@ from .baire import (
     baire_norm,
     baire_norm_witness,
     baire_norm_zero,
-    exact_mode,
     linear_combination,
     segment_vector,
     _segment_families,
@@ -68,10 +67,6 @@ class BaireContext:
             self.p.is_zero or self.p.value == 1
         )
 
-    @property
-    def exact(self):
-        return True if self.p.is_zero else exact_mode(self.kind, self.p)
-
     def describe(self):
         p = "0" if self.p.is_zero else str(self.p.value)
         return f"baire({self.kind.value}, p={p})"
@@ -79,9 +74,6 @@ class BaireContext:
 
 class StepContext:
     """Norm context for families of DyadicStep with the exact L1 norm."""
-
-    polyhedral = True
-    exact = True
 
     def norm(self, f):
         return NormValue.exact(l1_norm(f), 1)
@@ -167,14 +159,12 @@ def _violation_candidates(n):
                 yield m, tup, ell
 
 
-def bs_obstruction_check(family, epsilon, *, parallel=False):
+def bs_obstruction_check(family, epsilon):
     """Exhaustively test the split-mean lower bound on every subfamily.
 
     Pass means every (1/m)(sum of the first ell minus the rest) over every
     increasing index tuple has norm >= epsilon: the family is an
     epsilon-obstruction prefix.  Requires all vectors in the unit ball.
-    `parallel` is accepted for compatibility and ignored: threads
-    measured slower than the serial loop under the GIL.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -204,43 +194,41 @@ def bs_obstruction_check(family, epsilon, *, parallel=False):
     )
 
 
+#: Largest full grid product the falsifier expands per index tuple.
+MAX_GRID_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class TrialCoeffs:
     """Sampler for the alternating-obstruction falsifier.
 
-    signs: sweep all +-1 patterns (first coefficient fixed to +1, the
+    Every +-1 pattern is always swept (first coefficient fixed to +1, the
     inequality is invariant under a global flip).  grid: per-coordinate
     rational values, expanded as a full product while it stays within
-    max_grid_points.  random_trials: seeded random rational vectors per
+    MAX_GRID_POINTS.  random_trials: seeded random rational vectors per
     index tuple.
     """
 
-    signs: bool = True
     grid: tuple = ()
     random_trials: int = 0
     seed: int = 0
-    max_grid_points: int = 4096
 
     def describe(self, size):
-        parts = []
-        if self.signs:
-            parts.append(f"sign patterns (2^{size - 1})")
+        parts = [f"sign patterns (2^{size - 1})"]
         if self.grid:
             parts.append(f"grid {list(map(str, self.grid))}")
         if self.random_trials:
             parts.append(
                 f"{self.random_trials} random rational trials (seed {self.seed})"
             )
-        return ", ".join(parts) if parts else "no trials"
+        return ", ".join(parts)
 
     def vectors(self, size):
-        out = []
-        if self.signs:
-            for tail in itertools.product((1, -1), repeat=size - 1):
-                out.append((Fraction(1),) + tuple(Fraction(s) for s in tail))
+        out = [(Fraction(1),) + tuple(Fraction(s) for s in tail)
+               for tail in itertools.product((1, -1), repeat=size - 1)]
         if self.grid:
             values = tuple(Fraction(g) for g in self.grid)
-            if len(values) ** size <= self.max_grid_points:
+            if len(values) ** size <= MAX_GRID_POINTS:
                 for c in itertools.product(values, repeat=size):
                     if any(v != 0 for v in c):
                         out.append(c)
@@ -296,18 +284,6 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
 # ---------------------------------------------------------------------------
 # convex block minimization
 
-def _antichains(closure):
-    def rec(v):
-        out = []
-        child_opts = [rec(c) for c in closure.children(v)]
-        for combo in itertools.product(*child_opts):
-            out.append(tuple(itertools.chain.from_iterable(combo)))
-        out.append((v,))
-        return out
-
-    return [a for a in rec(()) if a]
-
-
 def _functional_supports(closure, kind, p):
     """Node sets over which sign patterns generate the polyhedral norm."""
     if len(closure) > 20:
@@ -333,9 +309,12 @@ def _functional_supports(closure, kind, p):
     elif p.is_zero:
         supports = [(v,) for v in closure]
     else:
-        supports = sorted(
-            tuple(sorted(a, key=node_key)) for a in set(_antichains(closure))
-        )
+        # the sup ingredient reads one node per segment: the antichains
+        # of start nodes of the nonempty families
+        supports = sorted({
+            tuple(sorted((a for a, _ in fam), key=node_key))
+            for fam in _segment_families(closure) if fam
+        })
     budget = sum(2 ** len(u) for u in supports)
     if budget > MAX_FUNCTIONALS:
         raise FunctionalSetTooLarge(
@@ -440,22 +419,16 @@ def _float_subgradient(vectors, a, context):
         [(Fraction(ai).limit_denominator(10**12), x) for ai, x in zip(a, vectors)]
     )
     if p.is_zero:
+        # one segment aggregated with exponent 1
         nv, seg = baire_norm_zero(combo, kind, with_witness=True)
-        f = nv.approx
-        if seg is None or f == 0.0:
-            return f, [0.0] * len(a)
-        block = [float(c) for c in segment_vector(combo, seg)]
-        g = _block_subgradient(block, kind)
-        grad = [
-            sum(gi * float(ci) for gi, ci in zip(g, segment_vector(x, seg)))
-            for x in vectors
-        ]
-        return f, grad
-    nv, family = baire_norm_witness(combo, kind, p)
+        family = (seg,) if seg is not None else ()
+        pf = 1.0
+    else:
+        nv, family = baire_norm_witness(combo, kind, p)
+        pf = float(p.value)
     f = nv.approx
     if f == 0.0 or not family:
         return f, [0.0] * len(a)
-    pf = float(p.value)
     grad = [0.0] * len(a)
     for seg in family:
         block = [float(c) for c in segment_vector(combo, seg)]

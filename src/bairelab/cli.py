@@ -3,7 +3,8 @@
 Every subcommand prints exactly one JSON document on stdout, with sorted
 keys and canonical rational strings, so runs are byte-reproducible.
 Exit codes: 0 success, 2 validation or precondition failure (structured
-JSON on stderr), 1 internal failure.
+JSON on stderr), 1 internal failure.  A value whose binary64 form
+overflows fails a precondition.
 """
 
 import argparse
@@ -78,7 +79,7 @@ def _load_tree(path):
 
 def _load_vector(path, tree=None):
     obj = load_json_file(path)
-    if tree is not None and "tree" in obj:
+    if tree is not None and isinstance(obj, dict) and "tree" in obj:
         embedded = serialize.tree_from_json(obj["tree"])
         if embedded != tree:
             raise ValidationError(
@@ -141,8 +142,11 @@ def _cmd_gen(args):
     else:
         raise InvalidParameter(f"unknown family {family!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(doc) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dumps_canonical(doc) + "\n")
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write --out {args.out}: {exc}")
     return doc
 
 
@@ -155,7 +159,6 @@ def _cmd_check_bs(args):
 def _cmd_check_abs(args):
     fam = serialize.family_from_json(load_json_file(args.family))
     trials = checkers.TrialCoeffs(
-        signs=True,
         grid=tuple(args.grid) if args.grid else (),
         random_trials=args.random,
         seed=args.seed,
@@ -328,7 +331,7 @@ def main(argv=None):
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except BaireLabError as exc:
+    except (BaireLabError, OverflowError) as exc:
         sys.stderr.write(
             dumps_canonical({"error": type(exc).__name__, "message": str(exc)})
             + "\n"

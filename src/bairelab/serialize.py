@@ -26,8 +26,17 @@ def format_fraction(q):
 
 
 def parse_fraction(text):
+    """A rational from a "p/q" or decimal string, or from an integer.
+    Floats and booleans are rejected, not coerced: a JSON float has
+    already lost digits (1e-400 reads as 0)."""
+    if type(text) is int:
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValidationError(
+            f"a rational must be a string or an integer, got {text!r}"
+        )
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {text!r}: {exc}")
 
@@ -124,12 +133,26 @@ def tree_to_json(tree):
     return {"nodes": [list(n) for n in tree]}
 
 
+def _object(obj, what):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _array(value, what):
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _integer(value, what):
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def tree_from_json(obj):
-    if not isinstance(obj, dict) or "nodes" not in obj:
-        raise ValidationError('a tree object needs a "nodes" array')
-    nodes = obj["nodes"]
-    if not isinstance(nodes, list):
-        raise ValidationError('"nodes" must be an array of arrays')
+    nodes = _array(_object(obj, "a tree").get("nodes"), '"nodes"')
     return make_tree([_node_from_json(n) for n in nodes])
 
 
@@ -141,29 +164,29 @@ def _node_from_json(node):
     return tuple(node)
 
 
-def vector_to_json(x):
-    entries = [
+def _entries_to_json(x):
+    return [
         {"node": list(n), "coef": format_fraction(c)}
         for n, c in sorted(x.coeffs.items(), key=lambda kv: node_key(kv[0]))
     ]
-    return {"tree": tree_to_json(x.tree), "entries": entries}
+
+
+def vector_to_json(x):
+    return {"tree": tree_to_json(x.tree), "entries": _entries_to_json(x)}
 
 
 def vector_from_json(obj, tree=None):
-    if not isinstance(obj, dict):
-        raise ValidationError("a vector object must be a JSON object")
+    _object(obj, "a vector")
     if tree is None:
-        tree = tree_from_json(obj.get("tree", {}))
-    return BaireVector(tree, _coeffs_from_entries(obj.get("entries", [])))
+        tree = tree_from_json(obj.get("tree"))
+    return BaireVector(tree, _coeffs_from_entries(obj.get("entries")))
 
 
 def _coeffs_from_entries(entries):
     """Coefficients of an entry array: objects with an integer-array
     "node" and a rational "coef"; repeated nodes add up."""
-    if not isinstance(entries, list):
-        raise ValidationError("entries must be an array")
     coeffs = {}
-    for e in entries:
+    for e in _array(entries, "entries"):
         if not isinstance(e, dict) or "node" not in e or "coef" not in e:
             raise ValidationError(
                 f'an entry must be an object with "node" and "coef", got {e!r}'
@@ -210,11 +233,10 @@ def step_to_json(f):
 
 
 def step_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValidationError("a step object must be a JSON object")
-    return DyadicStep(
-        int(obj["resolution"]), tuple(parse_fraction(v) for v in obj["values"])
-    )
+    _object(obj, "a step")
+    values = _array(obj.get("values"), '"values"')
+    return DyadicStep(_integer(obj.get("resolution"), '"resolution"'),
+                      tuple(parse_fraction(v) for v in values))
 
 
 def bush_to_json(bush):
@@ -225,13 +247,12 @@ def bush_to_json(bush):
 
 
 def bush_from_json(obj):
-    if not isinstance(obj, dict) or "levels" not in obj:
-        raise ValidationError('a bush object needs a "levels" array')
-    levels = tuple(
-        tuple(step_from_json(f) for f in level) for level in obj["levels"]
-    )
-    bush = BushLevels(levels)
-    if "K" in obj and int(obj["K"]) != bush.top_level:
+    levels = _array(_object(obj, "a bush").get("levels"), '"levels"')
+    bush = BushLevels(tuple(
+        tuple(step_from_json(f) for f in _array(level, "a bush level"))
+        for level in levels
+    ))
+    if "K" in obj and _integer(obj["K"], '"K"') != bush.top_level:
         raise ValidationError("bush K field disagrees with the level count")
     return bush
 
@@ -246,29 +267,22 @@ def family_to_json(family):
         "basis": ctx.kind.value,
         "p": format_exponent(ctx.p),
         "tree": tree_to_json(family.vectors[0].tree),
-        "vectors": [
-            [
-                {"node": list(n), "coef": format_fraction(c)}
-                for n, c in sorted(x.coeffs.items(), key=lambda kv: node_key(kv[0]))
-            ]
-            for x in family.vectors
-        ],
+        "vectors": [_entries_to_json(x) for x in family.vectors],
     }
 
 
 def family_from_json(obj):
     from .checkers import BaireContext, StepContext, VectorFamily
 
-    if not isinstance(obj, dict):
-        raise ValidationError("a family object must be a JSON object")
+    _object(obj, "a family")
     if "steps" in obj:
-        steps = [step_from_json(f) for f in obj["steps"]]
+        steps = [step_from_json(f) for f in _array(obj["steps"], '"steps"')]
         return VectorFamily(steps, StepContext())
-    kind = BasisKind.from_tag(obj.get("basis", ""))
-    p = parse_exponent(obj.get("p", "1"))
-    tree = tree_from_json(obj.get("tree", {}))
+    kind = BasisKind.from_tag(obj.get("basis"))
+    p = parse_exponent(obj.get("p"))
+    tree = tree_from_json(obj.get("tree"))
     vectors = [BaireVector(tree, _coeffs_from_entries(entries))
-               for entries in obj.get("vectors", [])]
+               for entries in _array(obj.get("vectors"), '"vectors"')]
     return VectorFamily(vectors, BaireContext(kind, p))
 
 
@@ -287,3 +301,7 @@ def load_json_file(path):
         raise ParseError(path, "-", "file not found")
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} col {exc.colno}", exc.msg)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(path, "-", str(exc))
+    except RecursionError:
+        raise ParseError(path, "-", "nesting too deep")

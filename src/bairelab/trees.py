@@ -107,9 +107,6 @@ class FiniteTree:
             self._children = {k: tuple(v) for k, v in cmap.items()}
         return self._children.get(tuple(node), ())
 
-    def is_leaf(self, node):
-        return not self.children(node)
-
 
 EMPTY_TREE = FiniteTree((), _validated=True)
 

@@ -5,7 +5,7 @@ machine-checkable witness; Inconclusive records what was tested, because
 a finite search cannot refute a universally quantified statement.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 PASS = "pass"
@@ -56,4 +56,3 @@ class CheckReport:
     lhs: object
     rhs: object
     exact: bool
-    note: str = field(default="")

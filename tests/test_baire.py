@@ -28,7 +28,7 @@ from bairelab import (
     spine,
     vector_combine,
 )
-from bairelab.baire import ExponentP, _segment_families
+from bairelab.baire import MAX_ORACLE_NODES, ExponentP, _segment_families
 from bairelab.bases import NormValue, triangle_leq
 from bairelab.errors import (
     InvalidParameter,
@@ -132,11 +132,16 @@ def test_oracle_zero_vector_and_size_bound():
         baire_norm_oracle(ones, L1, 2)
 
 
-def test_oracle_env_bound(monkeypatch):
-    monkeypatch.setenv("BAIRELAB_MAX_ORACLE_NODES", "2")
-    ones = BaireVector(spine(2), {(): 1, (0,): 1, (0, 0): 1})
+def test_oracle_runs_at_its_bound():
+    assert MAX_ORACLE_NODES == 14
+    at_bound = spine(13)
+    ones = BaireVector(at_bound, dict.fromkeys(at_bound, Fraction(1)))
+    assert len(ones.support_closure()) == MAX_ORACLE_NODES
+    assert baire_norm_oracle(ones, L1, 2) == baire_norm(ones, L1, 2)
+    # one carrier whose closure holds 15 nodes
+    deep = BaireVector(spine(14), {(0,) * 14: 1})
     with pytest.raises(TooLargeForOracle):
-        baire_norm_oracle(ones, L1, 2)
+        baire_norm_oracle(deep, L1, 2)
 
 
 def test_zero_variant_examples():
@@ -301,18 +306,6 @@ def test_binary64_witness_is_least_up_to_rounding():
                   for s in family]
         aggregate = math.fsum(blocks) ** (1 / float(p))
         assert math.isclose(aggregate, nv.approx, rel_tol=1e-12)
-
-
-def test_parallel_evaluation_is_identical():
-    rng = seeded_rng(31)
-    tree = make_tree([(), (0,), (1,), (2,), (0, 0), (1, 0), (1, 1)])
-    for _ in range(10):
-        x = random_rational_vector(tree, rng)
-        for kind, p in EXACT_PAIRS:
-            assert baire_norm(x, kind, p, parallel=True) == baire_norm(x, kind, p)
-        approx_serial = baire_norm(x, L2, 1)
-        approx_parallel = baire_norm(x, L2, 1, parallel=True)
-        assert approx_serial.approx == approx_parallel.approx
 
 
 def test_norm_axioms():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from bairelab import (
     BaireContext,
     BaireVector,
     BasisKind,
+    DyadicStep,
     P_ZERO,
     StepContext,
     TrialCoeffs,
@@ -17,9 +19,13 @@ from bairelab import (
     convex_block_min,
     delta,
     delta_antichain_family,
+    make_tree,
     prefix_closure,
+    random_tree,
     weak_null_probe,
 )
+from bairelab.baire import ExponentP
+from bairelab.checkers import _functional_supports
 from bairelab.errors import (
     BadIndexList,
     FamilyTooLarge,
@@ -103,16 +109,6 @@ def test_bs_obstruction_preconditions():
         bs_obstruction_check(fam, 1)
 
 
-def test_bs_obstruction_parallel_identical():
-    fam = delta_antichain_family(5, L2, 2)
-    assert bs_obstruction_check(fam, 1, parallel=True) == bs_obstruction_check(fam, 1)
-    fam_pass = delta_antichain_family(4, L1, 1)
-    assert (
-        bs_obstruction_check(fam_pass, 1, parallel=True)
-        == bs_obstruction_check(fam_pass, 1)
-    )
-
-
 def test_bs_obstruction_scaling_covariance():
     fam = delta_antichain_family(4, L2, 2)
     scaled = VectorFamily(
@@ -169,7 +165,12 @@ def test_abs_falsifier_monotone_under_larger_sampler():
 # ---------------------------------------------------------------------------
 # convex blocks
 
-from util import grid_min  # noqa: E402
+from util import (  # noqa: E402
+    canonical_shapes,
+    grid_min,
+    random_rational_vector,
+    seeded_rng,
+)
 
 
 def test_convex_block_min_examples():
@@ -263,3 +264,58 @@ def test_weak_null_probe_passes_eventually_in_sup_context():
         assert weak_null_probe(fam, eps).is_pass
         fam1 = delta_antichain_family(length, L1, 1)
         assert weak_null_probe(fam1, eps).is_inconclusive
+
+
+# ---------------------------------------------------------------------------
+# golden digest
+
+# SHA-256 over repr of every output of _checker_outputs, one line each,
+# recorded before the c0 supports were read off the segment families and
+# before the p = 0 subgradient became the one-segment family case.
+CHECKERS_DIGEST = (
+    "6025a72779c0a04b200e8709fefa690209b278a3f66750b69a96be9303f42340"
+)
+
+
+def _checker_outputs():
+    rng = seeded_rng(1509)
+    # the exact LP contexts
+    for seed in range(3):
+        tree = random_tree(6, seed)
+        for kind, p in ((L1, P_ZERO), (L1, 1), (C0, P_ZERO), (C0, 1)):
+            vectors = [random_rational_vector(tree, rng, allow_zero=True)
+                       for _ in range(3)]
+            yield convex_block_min(
+                VectorFamily(vectors, BaireContext(kind, p)), (0, 2))
+    # the subgradient contexts
+    tree = random_tree(5, 7)
+    for kind, p in ((L2, P_ZERO), (L2, 2), (L1, F(3, 2))):
+        vectors = [random_rational_vector(tree, rng) for _ in range(3)]
+        yield convex_block_min(
+            VectorFamily(vectors, BaireContext(kind, p)), (0, 2))
+    steps = [DyadicStep(2, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(4))) for _ in range(3)]
+    yield convex_block_min(VectorFamily(steps, StepContext()), (0, 2))
+    # grid trials: 9 values run in full at size 2 and stay over the
+    # product cap at size 4
+    grid = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
+    seeded = TrialCoeffs(random_trials=20, seed=3)
+    tree = random_tree(6, 11)
+    mixed = VectorFamily([random_rational_vector(tree, rng) for _ in range(6)],
+                         BaireContext(L1, 1))
+    for fam in (delta_antichain_family(6, L1, 1),
+                delta_antichain_family(6, C0, P_ZERO), mixed):
+        for trials in (grid, seeded):
+            yield abs_obstruction_falsify(fam, F(1, 2), trials)
+    for nodes in canonical_shapes(6):
+        closure = make_tree(nodes)
+        for kind in (L1, L2, C0):
+            for p in (P_ZERO, ExponentP.of(1), ExponentP.of(2)):
+                yield _functional_supports(closure, kind, p)
+
+
+def test_checker_outputs_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for out in _checker_outputs():
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == CHECKERS_DIGEST

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bairelab import (
     BasisKind,
@@ -11,6 +17,7 @@ from bairelab import (
     full_kary,
     make_tree,
     order_index,
+    prefix_closure,
 )
 from bairelab.cli import main
 from bairelab.serialize import (
@@ -264,6 +271,14 @@ def test_cli_validation_errors(capsys, tmp_path):
                            "l7", "--p", "2")
     assert code == 2
 
+    # a directory and JSON nested past the decoder's depth are read errors
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (tmp_path, deep):
+        code, _, err = run_cli(capsys, "rank", "--tree", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "ParseError"
+
 
 def _assert_validation_exit(code, out, err):
     assert code == 2 and out == ""
@@ -283,6 +298,191 @@ def test_norm_rejects_malformed_entries(capsys, tmp_path, entry):
         capsys, "norm", "--vector", vec, "--basis", "l1", "--p", "1"
     )
     _assert_validation_exit(code, out, err)
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+STEP = '{"resolution": 1, "values": ["1", "0"]}'
+
+
+@pytest.mark.parametrize("step", [
+    '{"resolution": 1, "values": "20"}',
+    '{"resolution": 0.9, "values": ["1"]}',
+    '{"resolution": "1", "values": ["1", "0"]}',
+    '{"values": ["1"]}',
+    '{"resolution": 1, "values": [0.1, 0]}',
+    '{"resolution": 1, "values": [1e-400, 1]}',
+], ids=["string-values", "float-resolution", "string-resolution",
+        "missing-resolution", "float-value", "underflowing-value"])
+def test_step_reader_is_strict(capsys, tmp_path, step):
+    fam = write_text(tmp_path, "fam.json", f'{{"steps": [{step}, {STEP}]}}')
+    code, out, err = run_cli(
+        capsys, "block-min", "--family", fam, "--window", "0,1"
+    )
+    _assert_validation_exit(code, out, err)
+
+
+BUSH_LEVELS = ('[[{"resolution": 0, "values": ["1"]}], '
+               '[{"resolution": 1, "values": ["2", "0"]}, '
+               '{"resolution": 1, "values": ["0", "2"]}]]')
+
+
+@pytest.mark.parametrize("bush", [
+    '{"levels": 5}',
+    f'{{"K": "1", "levels": {BUSH_LEVELS}}}',
+    f'{{"K": true, "levels": {BUSH_LEVELS}}}',
+    f'{{"K": 1.0, "levels": {BUSH_LEVELS}}}',
+    '{"levels": [5, []]}',
+], ids=["levels-number", "string-K", "bool-K", "float-K", "level-number"])
+def test_bush_reader_is_strict(capsys, tmp_path, bush):
+    path = write_text(tmp_path, "bush.json", bush)
+    code, out, err = run_cli(
+        capsys, "check-bush", "--bush", path, "--delta", "1/2", "--bound", "1"
+    )
+    _assert_validation_exit(code, out, err)
+
+
+FAMILY_TREE = '"tree": {"nodes": [[], [0], [1]]}'
+FAMILY_VECTORS = ('"vectors": [[{"node": [0], "coef": "1"}], '
+                  '[{"node": [1], "coef": "1"}]]')
+
+
+@pytest.mark.parametrize("family", [
+    f'{{"basis": "l1", {FAMILY_TREE}, {FAMILY_VECTORS}}}',
+    f'{{"basis": "l1", "p": 1.5, {FAMILY_TREE}, {FAMILY_VECTORS}}}',
+    f'{{"basis": "l1", "p": "1", {FAMILY_TREE}, "vectors": 5}}',
+    '{"steps": 5}',
+    f'{{"basis": "l1", "p": "1", {FAMILY_TREE}, '
+    '"vectors": [[{"node": [0], "coef": 0.1}], [{"node": [1], "coef": "1"}]]}',
+], ids=["missing-p", "float-p", "vectors-number", "steps-number",
+        "float-coef"])
+def test_family_reader_is_strict(capsys, tmp_path, family):
+    path = write_text(tmp_path, "fam.json", family)
+    code, out, err = run_cli(
+        capsys, "check-bs", "--family", path, "--epsilon", "1/2"
+    )
+    _assert_validation_exit(code, out, err)
+
+
+@pytest.mark.parametrize("vector", [
+    '{"tree": {"nodes": [[], [1]]}}',
+    '{"tree": {"nodes": [[], [1]]}, "entries": [{"node": [1], "coef": 0.1}]}',
+    '{"tree": {"nodes": [[], [1]]}, '
+    '"entries": [{"node": [1], "coef": 1e-400}]}',
+], ids=["missing-entries", "float-coef", "underflowing-coef"])
+def test_vector_reader_is_strict(capsys, tmp_path, vector):
+    path = write_text(tmp_path, "x.json", vector)
+    code, out, err = run_cli(
+        capsys, "norm", "--vector", path, "--basis", "l1", "--p", "1"
+    )
+    _assert_validation_exit(code, out, err)
+
+
+def test_gen_out_into_a_missing_directory(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "gen", "--family", "spine", "--d", "2",
+        "--out", str(tmp_path / "missing" / "t.json"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParameter"
+
+
+# Documents for the property below: reader-shaped documents, half of
+# them with one value (or the whole document) swapped for arbitrary JSON
+# or one key deleted.
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+rationals = st.integers(-3, 3) | st.sampled_from(["1/2", "-2", "0", "1e400"])
+trees = st.lists(st.lists(st.integers(0, 2), max_size=3), max_size=5).map(
+    lambda ns: {"nodes": [list(n) for n in prefix_closure([()] + ns)]})
+
+
+def _entries(tree):
+    return st.lists(st.fixed_dictionaries(
+        {"node": st.sampled_from(tree["nodes"]), "coef": rationals}),
+        max_size=4)
+
+
+vectors = trees.flatmap(lambda t: st.fixed_dictionaries(
+    {"tree": st.just(t), "entries": _entries(t)}))
+steps = st.integers(0, 2).flatmap(lambda r: st.fixed_dictionaries(
+    {"resolution": st.just(r),
+     "values": st.lists(rationals, min_size=2**r, max_size=2**r)}))
+families = trees.flatmap(lambda t: st.fixed_dictionaries(
+    {"basis": st.sampled_from(["l1", "l2", "c0"]),
+     "p": st.sampled_from(["0", "1", "2", "3/2"]), "tree": st.just(t),
+     "vectors": st.lists(_entries(t), min_size=1, max_size=4)})
+) | st.fixed_dictionaries({"steps": st.lists(steps, min_size=1, max_size=4)})
+bushes = st.integers(1, 2).flatmap(lambda k: st.fixed_dictionaries(
+    {"K": st.just(k),
+     "levels": st.tuples(*(st.lists(steps, min_size=2**j, max_size=2**j)
+                           for j in range(k + 1))).map(list)}))
+
+
+def _slots(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, shaped):
+    doc = draw(shaped)
+    if draw(st.booleans()):
+        return doc
+    path = draw(st.sampled_from(list(_slots(doc))))
+    if not path:
+        return draw(json_docs)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_docs)
+    return doc
+
+
+COMMANDS = [
+    (["rank", "--tree", "{doc}"], trees),
+    (["norm", "--vector", "{doc}", "--basis", "l1", "--p", "1"], vectors),
+    (["norm", "--tree", "{tree}", "--vector", "{doc}", "--basis", "c0",
+      "--p", "2"], vectors),
+    (["check-bs", "--family", "{doc}", "--epsilon", "1/2"], families),
+    (["check-bush", "--bush", "{doc}", "--delta", "1/2", "--bound", "1"],
+     bushes),
+    (["block-min", "--family", "{doc}", "--window", "0,1"], families),
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(COMMANDS).flatmap(
+    lambda c: st.tuples(st.just(c[0]), mutated(c[1]))))
+def test_arbitrary_json_exits_0_or_2(command):
+    argv, doc = command
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"{doc}": Path(tmp) / "doc.json", "{tree}": Path(tmp) / "t.json"}
+        files["{doc}"].write_text(json.dumps(doc))
+        files["{tree}"].write_text('{"nodes": [[], [0], [1]]}')
+        argv = [str(files[a]) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
 def test_tree_nodes_share_the_strict_parser(capsys, tmp_path):

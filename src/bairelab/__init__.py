@@ -42,7 +42,7 @@ from .steps import (
     level_difference,
     rademacher_bush,
     step_combine,
-    step_sum,
+    step_linear_combination,
 )
 from .trees import (
     Cofinite,

@@ -403,15 +403,6 @@ def _sorted_family(segs):
                                              node_key(s.max_node))))
 
 
-def _better(cand, incumbent):
-    """Pick (value, family) maximizing value, tie toward least family."""
-    if incumbent is None:
-        return cand
-    if cand[0] != incumbent[0]:
-        return cand if cand[0] > incumbent[0] else incumbent
-    return cand if _family_key(cand[1]) < _family_key(incumbent[1]) else incumbent
-
-
 def _segment_families(closure):
     """Every valid family over `closure`: an antichain of start nodes,
     one downward segment per start node.  Exponential; oracle use only."""
@@ -490,20 +481,25 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
     exact = exact_mode(kind, p)
     powers, scale = _segment_powers(x, closure, kind, p, exact)
     zero = 0 if exact else 0.0
-    incumbent = None
+    # the maximum value; with a witness, ties go to the least family in
+    # _family_key order, whose key is kept beside it
+    total = family = key = None
     for fam in _segment_families(closure):
         val = zero
         for seg in fam:
             val += powers[seg]
+        if total is not None and (
+            val < total or (val == total and not with_witness)
+        ):
+            continue
         if with_witness:
-            # _better keeps the incumbent against any strictly lower value
-            if incumbent is None or val >= incumbent[0]:
-                trimmed = [_trim_segment(x, a, v) for a, v in fam]
-                fam_w = _sorted_family([s for s in trimmed if s is not None])
-                incumbent = _better((val, fam_w), incumbent)
-        elif incumbent is None or val > incumbent[0]:
-            incumbent = (val, ())
-    total, family = incumbent
+            trimmed = [_trim_segment(x, a, v) for a, v in fam]
+            fam_w = _sorted_family([s for s in trimmed if s is not None])
+            fam_key = _family_key(fam_w)
+            if val == total and fam_key >= key:
+                continue
+            family, key = fam_w, fam_key
+        total = val
     nv = (
         NormValue.exact(Fraction(total, scale), p.value)
         if exact

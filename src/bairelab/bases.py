@@ -3,9 +3,10 @@
 Three 1-unconditional, 1-symmetric normalized bases are supported: the
 standard bases of the summable, square-summable and null sequence spaces.
 Norm results are carried as NormValue: either an exact nonnegative
-rational `power_base` meaning value = power_base ** (1/inv_exp), or a
-binary64 approximation.  Square-summable values stay squared end to end;
-roots are taken only when a float is demanded.
+rational `power_base` meaning value = power_base ** (1/inv_exp) for a
+positive integer `inv_exp`, or a binary64 approximation.  Square-summable
+values stay squared end to end; roots are taken only when a float is
+demanded.
 """
 
 import enum
@@ -61,8 +62,8 @@ class NormValue:
         p = Fraction(p)
         if base < 0:
             raise InvalidParameter("power base must be nonnegative")
-        if p <= 0:
-            raise InvalidParameter("inverse exponent must be positive")
+        if p <= 0 or p.denominator != 1:
+            raise InvalidParameter("inverse exponent must be a positive integer")
         return cls(base, p, float(base) ** (1 / float(p)))
 
     @classmethod
@@ -73,18 +74,10 @@ class NormValue:
     def is_exact(self):
         return self.power_base is not None
 
-    def _int_exp(self):
-        return self.inv_exp.denominator == 1
-
     def compare(self, other):
         """Three-way comparison: exact when both sides admit it, else
         float comparison within approx_equal's tolerance."""
-        if (
-            self.is_exact
-            and other.is_exact
-            and self._int_exp()
-            and other._int_exp()
-        ):
+        if self.is_exact and other.is_exact:
             p, q = self.inv_exp.numerator, other.inv_exp.numerator
             lhs = self.power_base**q
             rhs = other.power_base**p
@@ -99,7 +92,7 @@ class NormValue:
     def _cmp_scalar(self, q):
         """Three-way comparison against a rational threshold q >= 0."""
         q = Fraction(q)
-        if self.is_exact and self._int_exp():
+        if self.is_exact:
             if q < 0:
                 return 1
             rhs = q ** self.inv_exp.numerator
@@ -121,7 +114,7 @@ class NormValue:
     def scale(self, c):
         """The norm of the |c|-scaled vector: absolute homogeneity."""
         c = Fraction(c)
-        if self.is_exact and self._int_exp():
+        if self.is_exact:
             base = self.power_base * abs(c) ** self.inv_exp.numerator
             return NormValue.exact(base, self.inv_exp)
         return NormValue.approximate(self.approx * abs(float(c)))
@@ -157,7 +150,6 @@ def triangle_leq(whole, part1, part2):
         and part1.is_exact
         and part2.is_exact
         and whole.inv_exp == part1.inv_exp == part2.inv_exp
-        and whole._int_exp()
     ):
         p = whole.inv_exp.numerator
         a, b, c = whole.power_base, part1.power_base, part2.power_base

@@ -35,12 +35,15 @@ from .errors import (
     WindowOutOfRange,
 )
 from .simplex import solve_lp
-from .steps import DyadicStep, l1_norm
+from .steps import l1_norm, step_linear_combination
 from .trees import node_key, prefix_closure
 from .verdicts import Verdict
 
 #: Documented bound on the generating-functional enumeration.
 MAX_FUNCTIONALS = 10**5
+
+#: Largest support closure whose segment families are enumerated (p >= 1).
+MAX_FAMILY_NODES = 20
 
 #: Hard cap on exhaustive obstruction checking.
 MAX_OBSTRUCTION_FAMILY = 10
@@ -79,17 +82,7 @@ class StepContext:
         return NormValue.exact(l1_norm(f), 1)
 
     def mix(self, pairs):
-        terms = []
-        common = 0
-        pairs = list(pairs)
-        for _, f in pairs:
-            common = max(common, f.resolution)
-        acc = [Fraction(0)] * 2**common
-        for a, f in pairs:
-            a = Fraction(a)
-            for i, v in enumerate(f.refine(common).values):
-                acc[i] += a * v
-        return DyadicStep(common, tuple(acc))
+        return step_linear_combination(pairs)
 
     def describe(self):
         return "dyadic-step(L1)"
@@ -284,12 +277,28 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
 # ---------------------------------------------------------------------------
 # convex block minimization
 
+def _functional_budget(count):
+    if count > MAX_FUNCTIONALS:
+        raise FunctionalSetTooLarge(
+            f"{count} generating functionals exceed the bound {MAX_FUNCTIONALS}"
+        )
+
+
 def _functional_supports(closure, kind, p):
     """Node sets over which sign patterns generate the polyhedral norm."""
-    if len(closure) > 20:
+    if p.is_zero:
+        # counted before any support is built: the sup ingredient reads
+        # one node, 2 sign patterns per node; the summable one reads the
+        # chain (a, v), 2 ** (|v| - |a| + 1) patterns, which sum over the
+        # |v| + 1 start nodes a to 2 ** (|v| + 2) - 2 per node v
+        _functional_budget(
+            sum(2 ** (len(v) + 2) - 2 for v in closure)
+            if kind is BasisKind.L1 else 2 * len(closure)
+        )
+    elif len(closure) > MAX_FAMILY_NODES:
         raise FunctionalSetTooLarge(
-            f"support closure of {len(closure)} nodes generates more than "
-            f"{MAX_FUNCTIONALS} functionals"
+            f"support closure of {len(closure)} nodes: the segment-family "
+            f"enumeration is capped at {MAX_FAMILY_NODES} closure nodes"
         )
     if kind is BasisKind.L1:
         if p.is_zero:
@@ -315,11 +324,7 @@ def _functional_supports(closure, kind, p):
             tuple(sorted((a for a, _ in fam), key=node_key))
             for fam in _segment_families(closure) if fam
         })
-    budget = sum(2 ** len(u) for u in supports)
-    if budget > MAX_FUNCTIONALS:
-        raise FunctionalSetTooLarge(
-            f"{budget} generating functionals exceed the bound {MAX_FUNCTIONALS}"
-        )
+    _functional_budget(sum(2 ** len(u) for u in supports))
     return supports
 
 

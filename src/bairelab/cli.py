@@ -41,25 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _fraction(text):
-    try:
-        return parse_fraction(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(parse):
+    """An argparse type from a library parser: its BaireLabError becomes
+    the usage error argparse reports."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except BaireLabError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
-def _exponent(text):
-    try:
-        return parse_exponent(text)
-    except BaireLabError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _basis(text):
-    try:
-        return BasisKind.from_tag(text)
-    except BaireLabError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_fraction = _arg(parse_fraction)
+_exponent = _arg(parse_exponent)
+_basis = _arg(BasisKind.from_tag)
 
 
 def _coeff_list(text):

@@ -8,10 +8,12 @@ involved anywhere.
 
 import json
 import math
+import re
 from fractions import Fraction
 
-from .baire import BaireVector, ExponentP, P_ZERO
+from .baire import BaireVector, ExponentP
 from .bases import BasisKind, NormValue
+from .checkers import BaireContext, StepContext, VectorFamily
 from .errors import ParseError, ValidationError
 from .steps import BushLevels, DyadicStep
 from .trees import FiniteTree, Segment, make_tree, node_key
@@ -25,16 +27,34 @@ def format_fraction(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+#: Largest decimal exponent magnitude a rational string may carry.
+#: Fraction expands the exponent in full ("1e10000000" costs seconds), so
+#: the bound is the 4300-digit cap Python puts on integer strings.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_fraction(text):
     """A rational from a "p/q" or decimal string, or from an integer.
     Floats and booleans are rejected, not coerced: a JSON float has
-    already lost digits (1e-400 reads as 0)."""
+    already lost digits (1e-400 reads as 0).  A decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in magnitude is rejected."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValidationError(
             f"a rational must be a string or an integer, got {text!r}"
         )
+    exp = _EXPONENT.search(text)
+    if exp is not None:
+        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValidationError(
+                f"bad rational {text!r}: decimal exponent beyond "
+                f"{MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -46,8 +66,7 @@ def format_exponent(p):
 
 
 def parse_exponent(text):
-    q = parse_fraction(text)
-    return P_ZERO if q == 0 else ExponentP.of(q)
+    return ExponentP.of(parse_fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +277,6 @@ def bush_from_json(obj):
 
 
 def family_to_json(family):
-    from .checkers import StepContext
-
     ctx = family.context
     if isinstance(ctx, StepContext):
         return {"steps": [step_to_json(f) for f in family.vectors]}
@@ -272,8 +289,6 @@ def family_to_json(family):
 
 
 def family_from_json(obj):
-    from .checkers import BaireContext, StepContext, VectorFamily
-
     _object(obj, "a family")
     if "steps" in obj:
         steps = [step_from_json(f) for f in _array(obj["steps"], '"steps"')]

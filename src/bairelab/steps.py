@@ -81,25 +81,20 @@ def cell_indicator(k, l, height=1):
     return DyadicStep(k, tuple(values))
 
 
+def step_linear_combination(pairs):
+    """Pointwise sum of a*f over the (a, f) pairs at the common
+    refinement; the zero step when there are no pairs."""
+    pairs = [(Fraction(a), f) for a, f in pairs]
+    r = max((f.resolution for _, f in pairs), default=0)
+    acc = [Fraction(0)] * 2**r
+    for a, f in pairs:
+        acc = [c + a * v for c, v in zip(acc, f.refine(r).values)]
+    return DyadicStep(r, tuple(acc))
+
+
 def step_combine(a, f, b, g):
     """Pointwise a*f + b*g at the common refinement."""
-    r = max(f.resolution, g.resolution)
-    fv = f.refine(r).values
-    gv = g.refine(r).values
-    a, b = Fraction(a), Fraction(b)
-    return DyadicStep(r, tuple(a * x + b * y for x, y in zip(fv, gv)))
-
-
-def step_sum(fs):
-    fs = list(fs)
-    if not fs:
-        return constant_step(0)
-    r = max(f.resolution for f in fs)
-    acc = [Fraction(0)] * 2**r
-    for f in fs:
-        for i, v in enumerate(f.refine(r).values):
-            acc[i] += v
-    return DyadicStep(r, tuple(acc))
+    return step_linear_combination(((a, f), (b, g)))
 
 
 def l1_norm(f):
@@ -157,10 +152,9 @@ def level_difference(bush, k):
     """sum over l of x_k^{2l-1} - x_k^{2l} at level k >= 1."""
     if not (1 <= k <= bush.top_level):
         raise InvalidParameter(f"level {k} out of range")
-    terms = []
-    for l in range(1, 2 ** (k - 1) + 1):
-        terms.append(step_combine(1, bush.entry(k, 2 * l - 1), -1, bush.entry(k, 2 * l)))
-    return step_sum(terms)
+    return step_linear_combination(
+        (1 if l % 2 else -1, f) for l, f in enumerate(bush.levels[k], 1)
+    )
 
 
 def bush_check(bush, delta, bound):

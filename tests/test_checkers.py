@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from bairelab import (
     make_tree,
     prefix_closure,
     random_tree,
+    spine,
     weak_null_probe,
 )
 from bairelab.baire import ExponentP
@@ -30,6 +32,7 @@ from bairelab.errors import (
     BadIndexList,
     FamilyTooLarge,
     FamilyTooSmall,
+    FunctionalSetTooLarge,
     NotInUnitBall,
     WindowOutOfRange,
 )
@@ -188,6 +191,24 @@ def test_convex_block_min_examples():
 
     with pytest.raises(WindowOutOfRange):
         convex_block_min(fam1, (2, 3))
+
+
+def test_functional_bound_is_the_exact_count_for_p_zero():
+    # 20 unit vectors on a 21-node star: 42 functionals in c0 and 122 in
+    # l1, far within the bound, however many nodes the closure has
+    for kind in (C0, L1):
+        fam = delta_antichain_family(20, kind, P_ZERO)
+        coeffs, value = convex_block_min(fam, (0, 19))
+        assert value.power_base == F(1, 20) and value.inv_exp == 1
+        assert list(coeffs) == [F(1, 20)] * 20
+    # a 31-node chain has 2 ** 33 - 66 single-segment functionals in l1
+    start = time.perf_counter()
+    with pytest.raises(FunctionalSetTooLarge, match="8589934526"):
+        _functional_supports(spine(30), L1, P_ZERO)
+    assert time.perf_counter() - start < 1.0
+    # p >= 1 enumerates segment families, capped by the closure size
+    with pytest.raises(FunctionalSetTooLarge, match="capped at 20 closure"):
+        _functional_supports(spine(20), C0, ExponentP.of(1))
 
 
 def test_convex_block_min_matches_grid_oracle():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,6 +381,32 @@ def test_vector_reader_is_strict(capsys, tmp_path, vector):
         capsys, "norm", "--vector", path, "--basis", "l1", "--p", "1"
     )
     _assert_validation_exit(code, out, err)
+
+
+def test_huge_decimal_exponents_exit_fast(capsys, tmp_path):
+    huge = "1e10000000"
+    tree = {"nodes": [[], [0], [1]]}
+    vectors = [[{"node": [0], "coef": "1"}], [{"node": [1], "coef": "1"}]]
+    vec = write(tmp_path, "x.json", {
+        "tree": tree, "entries": [{"node": [0], "coef": huge}]})
+    steps = write(tmp_path, "steps.json", {"steps": [
+        {"resolution": 0, "values": ["1"]},
+        {"resolution": 0, "values": [huge]}]})
+    fam = write(tmp_path, "fam.json", {
+        "basis": "l1", "p": huge, "tree": tree, "vectors": vectors})
+    ok = write(tmp_path, "ok.json", {
+        "basis": "l1", "p": "1", "tree": tree, "vectors": vectors})
+    for argv in (
+        ("norm", "--vector", vec, "--basis", "l1", "--p", "1"),
+        ("block-min", "--family", steps, "--window", "0,1"),
+        ("check-bs", "--family", fam, "--epsilon", "1/2"),
+        ("check-bs", "--family", ok, "--epsilon", huge),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "ValidationError", argv
 
 
 def test_gen_out_into_a_missing_directory(capsys, tmp_path):

@@ -50,6 +50,12 @@ def test_fraction_strings():
         parse_fraction("1/0")
     with pytest.raises(ValidationError):
         parse_fraction("pi")
+    # decimal exponents are bounded at the integer-string digit cap
+    assert parse_fraction("1e4300") == 10**4300
+    assert parse_fraction("1e-4_300") == F(1, 10**4300)
+    for text in ("1e4301", "1E-4_301", "2.5e10000000"):
+        with pytest.raises(ValidationError):
+            parse_fraction(text)
 
 
 def test_exponent_strings():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from bairelab import (
     BushLevels,
     DyadicStep,
+    StepContext,
     bush_check,
     cell_indicator,
     constant_step,
@@ -161,3 +164,45 @@ def test_step_validation():
         DyadicStep(2, (1, 2, 3))
     with pytest.raises(InvalidParameter):
         DyadicStep(1, (1, 2)).refine(0)
+
+
+def _random_step(rng):
+    res = rng.randint(0, 4)
+    return DyadicStep(res, tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                                 for _ in range(2**res)))
+
+
+def _step_mixer_outputs():
+    rng = random.Random(4099)
+
+    def coef():
+        return F(rng.randint(-5, 5), rng.randint(1, 3))
+
+    for _ in range(150):
+        pairs = [(coef(), _random_step(rng)) for _ in range(rng.randint(0, 4))]
+        yield StepContext().mix(pairs)
+        yield step_combine(coef(), _random_step(rng), coef(), _random_step(rng))
+    for top in range(1, 5):
+        bush = BushLevels(tuple(
+            tuple(_random_step(rng) for _ in range(2**k))
+            for k in range(top + 1)))
+        for k in range(1, top + 1):
+            yield level_difference(bush, k)
+    for top in range(1, 8):
+        for delta in (F(1, 2), F(1)):
+            yield bush_check(rademacher_bush(top), delta, 1)
+
+
+# SHA-256 over the reprs of _step_mixer_outputs, recorded with the three
+# separate mixing loops (StepContext.mix, step_combine, and step_sum over
+# step_combine in level_difference) that step_linear_combination replaced
+STEP_MIXERS_DIGEST = (
+    "651b33e647d25e2e537a9664236b5a8f7b7e569553d620d0df877a380b2b05a8"
+)
+
+
+def test_step_mixer_outputs_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for out in _step_mixer_outputs():
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == STEP_MIXERS_DIGEST

@@ -43,6 +43,7 @@ from .errors import (
     SupportsNotIncomparable,
     TooLargeForOracle,
     TreeMismatch,
+    within_binary64,
 )
 from .trees import (
     FiniteTree,
@@ -210,6 +211,7 @@ def segment_vector(x, segment):
 # ---------------------------------------------------------------------------
 # dynamic program
 
+@within_binary64
 def _segment_dp(x, kind, p, *, witness):
     """The one post-order pass behind baire_norm, baire_norm_witness and
     baire_norm_zero.
@@ -422,6 +424,7 @@ def _segment_families(closure):
     return fam(())
 
 
+@within_binary64
 def _segment_powers(x, closure, kind, p, exact):
     """The p-th power of the block norm of every segment (v[:i], v) with
     endpoints in the closure, from one upward walk per closure node that

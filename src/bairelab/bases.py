@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, within_binary64
 
 #: Tolerances of every comparison involving an approximate value: two
 #: floats agree when they are within APPROX_REL_TOL of the larger
@@ -57,6 +57,7 @@ class NormValue:
     approx: float
 
     @classmethod
+    @within_binary64
     def exact(cls, base, p):
         base = Fraction(base)
         p = Fraction(p)
@@ -89,6 +90,7 @@ class NormValue:
     def equals(self, other):
         return self.compare(other) == 0
 
+    @within_binary64
     def _cmp_scalar(self, q):
         """Three-way comparison against a rational threshold q >= 0."""
         q = Fraction(q)

@@ -27,6 +27,8 @@ from .serialize import (
     load_json_file,
     parse_exponent,
     parse_fraction,
+    parse_fraction_list,
+    parse_window,
 )
 from .steps import bush_check, rademacher_bush
 from .trees import derived_tree, generate_tree, order_index, probe_wf
@@ -57,17 +59,8 @@ def _arg(parse):
 _fraction = _arg(parse_fraction)
 _exponent = _arg(parse_exponent)
 _basis = _arg(BasisKind.from_tag)
-
-
-def _coeff_list(text):
-    return [parse_fraction(part) for part in text.split(",") if part.strip()]
-
-
-def _window(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("window must be 'start,length'")
-    return int(parts[0]), int(parts[1])
+_coeff_list = _arg(parse_fraction_list)
+_window = _arg(parse_window)
 
 
 def _load_tree(path):
@@ -328,7 +321,7 @@ def main(argv=None):
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (BaireLabError, OverflowError) as exc:
+    except BaireLabError as exc:
         sys.stderr.write(
             dumps_canonical({"error": type(exc).__name__, "message": str(exc)})
             + "\n"

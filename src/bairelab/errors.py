@@ -5,6 +5,9 @@ callers (and the CLI) can distinguish contract violations from genuine
 bugs: BaireLabError maps to exit code 2, anything else to exit code 1.
 """
 
+import functools
+import sys
+
 
 class BaireLabError(Exception):
     """Base class for all contract and validation errors."""
@@ -21,6 +24,23 @@ class PrefixClosureViolation(BaireLabError):
 
 class InvalidParameter(BaireLabError):
     pass
+
+
+def within_binary64(func):
+    """`func`, raising InvalidParameter where a float view it forms
+    overflows binary64 instead of a bare OverflowError."""
+
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except OverflowError:
+            raise InvalidParameter(
+                "a float view leaves the binary64 range "
+                f"(magnitude at most {sys.float_info.max!r})"
+            ) from None
+
+    return checked
 
 
 class BudgetExceeded(BaireLabError):

@@ -69,6 +69,22 @@ def parse_exponent(text):
     return ExponentP.of(parse_fraction(text))
 
 
+def parse_fraction_list(text):
+    """Comma-separated rationals; blank items are skipped."""
+    return [parse_fraction(part) for part in text.split(",") if part.strip()]
+
+
+def parse_window(text):
+    """A block window "start,length" of two integers."""
+    parts = text.split(",")
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise ValidationError("window must be 'start,length'")
+
+
 # ---------------------------------------------------------------------------
 # canonical emitter
 

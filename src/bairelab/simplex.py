@@ -1,13 +1,18 @@
-"""Dense two-phase simplex over exact rationals.
+"""Two-phase simplex over exact rationals, fraction-free.
 
 Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  Bland's
 rule is used for both the entering and the leaving choice, which rules
-out cycling; with Fractions there is no numerical pivoting concern, only
-growth of numerators, which stays tame at the problem sizes this library
-produces.
+out cycling.  Each tableau row, the reduced-cost row of the running phase
+included, is a list of Python ints: a positive multiple of its rational
+row, divided by the gcd of its entries after every update.  A constraint
+row's multiple is its basic column's entry, which stays positive.  The
+pivoting choices are then integer tests: a negative reduced-cost entry,
+and ratios compared by cross-multiplication.  The optimal value and the
+solution become `Fraction`s once, at the end.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BaireLabError
 
@@ -20,121 +25,114 @@ class LPUnbounded(BaireLabError):
     pass
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            prow = tableau[row]
-            tableau[i] = [v - factor * p for v, p in zip(r, prow)]
+def _integers(row):
+    """A positive integer multiple of a list of rationals."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _eliminate(row, prow, col):
+    """Clears `row[col]` with `prow`, whose entry at `col` is positive."""
+    q = row[col]
+    if not q:
+        return row
+    p = prow[col]
+    new = [p * a - q * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+def _pivot(rows, basis, row, col):
+    """Makes `col` basic in `row` and clears it from every other row, the
+    reduced-cost row included when `rows` ends with one."""
+    prow = rows[row]
+    if prow[col] < 0:
+        prow = rows[row] = [-v for v in prow]
+    for i, r in enumerate(rows):
+        if i != row:
+            rows[i] = _eliminate(r, prow, col)
     basis[row] = col
 
 
-def _run(tableau, basis, cost, allowed):
-    """Bland-rule simplex loop; `cost` is indexed by column."""
-    m = len(tableau)
+def _objective(rows, basis, cost):
+    """The reduced-cost row of `cost` (ints) for the current basis."""
+    z = cost + [0]
+    for r, b in zip(rows, basis):
+        z = _eliminate(z, r, b)
+    return z
+
+
+def _run(rows, basis, allowed):
+    """Bland-rule simplex loop on the reduced-cost row `rows[-1]`."""
     while True:
-        dual = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in allowed:
-            rc = cost[j]
-            for i in range(m):
-                if tableau[i][j]:
-                    rc -= dual[i] * tableau[i][j]
-            if rc < 0:
-                entering = j
-                break
-        if entering < 0:
+        z = rows[-1]
+        entering = next((j for j in allowed if z[j] < 0), None)
+        if entering is None:
             return
         leaving = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, r in enumerate(rows[:-1]):
+            a = r[entering]
+            # least ratio r[-1] / a by cross-multiplication, ties to the
+            # smallest basic index
+            if a > 0 and (leaving < 0 or (r[-1] * best_a, basis[i])
+                          < (best_b * a, basis[leaving])):
+                leaving, best_b, best_a = i, r[-1], a
         if leaving < 0:
             raise LPUnbounded("objective unbounded below")
-        _pivot(tableau, basis, leaving, entering)
+        _pivot(rows, basis, leaving, entering)
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """Returns (optimal value, solution for the original variables)."""
     c = [Fraction(v) for v in c]
     n = len(c)
-    rows = []
-    for a, b in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in a], Fraction(b), True))
-    for a, b in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in a], Fraction(b), False))
-    m = len(rows)
-    n_slack = sum(1 for _, _, is_ub in rows if is_ub)
-    width = n + n_slack
+    data = [([Fraction(v) for v in a], Fraction(b), True)
+            for a, b in zip(a_ub, b_ub)]
+    data += [([Fraction(v) for v in a], Fraction(b), False)
+             for a, b in zip(a_eq, b_eq)]
+    m = len(data)
+    width = n + sum(1 for *_, is_ub in data if is_ub)
+    n_art = sum(1 for _, b, is_ub in data if b < 0 or not is_ub)
+    total = width + n_art
 
-    data = []
-    slack_at = 0
-    for a, b, is_ub in rows:
-        row = a + [Fraction(0)] * (width - n)
+    # the slack of an inequality with b >= 0 starts basic; every other
+    # row gets an artificial, numbered in row order
+    rows, basis = [], []
+    slack_at, art_at = n, width
+    for a, b, is_ub in data:
+        row = a + [0] * (total - n) + [b]
         if is_ub:
-            row[n + slack_at] = Fraction(1)
+            row[slack_at] = 1
             slack_at += 1
         if b < 0:
             row = [-v for v in row]
-            b = -b
-        data.append((row, b))
-
-    basis = []
-    needs_art = []
-    for i, (row, b) in enumerate(data):
-        slack_col = next(
-            (j for j in range(n, width) if row[j] == 1
-             and all(data[k][0][j] == 0 for k in range(m) if k != i)),
-            None,
-        )
-        if slack_col is not None:
-            basis.append(slack_col)
+        if is_ub and b >= 0:
+            basis.append(slack_at - 1)
         else:
-            basis.append(None)
-            needs_art.append(i)
-
-    n_art = len(needs_art)
-    total = width + n_art
-    tableau = []
-    for i, (row, b) in enumerate(data):
-        full = row + [Fraction(0)] * n_art + [b]
-        tableau.append(full)
-    for k, i in enumerate(needs_art):
-        tableau[i][width + k] = Fraction(1)
-        basis[i] = width + k
+            row[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
+        rows.append(_integers(row))
 
     if n_art:
-        phase1 = [Fraction(0)] * width + [Fraction(1)] * n_art
-        _run(tableau, basis, phase1, range(total))
-        value = sum(phase1[basis[i]] * tableau[i][-1] for i in range(m))
-        if value != 0:
+        rows.append(_objective(rows, basis, [0] * width + [1] * n_art))
+        _run(rows, basis, range(total))
+        rows.pop()
+        if any(b >= width and r[-1] for r, b in zip(rows, basis)):
             raise LPInfeasible("no feasible point")
         # drive surviving artificials out where possible; rows that carry
         # only the artificial are redundant and stay harmlessly basic
         for i in range(m):
             if basis[i] >= width:
-                col = next(
-                    (j for j in range(width) if tableau[i][j] != 0), None
-                )
+                col = next((j for j in range(width) if rows[i][j]), None)
                 if col is not None:
-                    _pivot(tableau, basis, i, col)
+                    _pivot(rows, basis, i, col)
 
-    phase2 = c + [Fraction(0)] * (total - n)
-    _run(tableau, basis, phase2, range(width))
-    value = sum(phase2[basis[i]] * tableau[i][-1] for i in range(m))
-    solution = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    return value, solution
+    cost = c + [Fraction(0)] * (total - n)
+    rows.append(_objective(rows, basis, _integers(cost)))
+    _run(rows, basis, range(width))
+    solution = [Fraction(0)] * total
+    for r, b in zip(rows, basis):
+        solution[b] = Fraction(r[-1], r[b])
+    value = sum(cost[b] * solution[b] for b in basis)
+    return value, solution[:n]

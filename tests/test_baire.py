@@ -502,3 +502,14 @@ def test_support_closure_is_cached_and_correct():
     closure = x.support_closure()
     assert closure.nodes == {(), (0,), (0, 0)}
     assert closure == prefix_closure(x.support)
+
+
+def test_float_views_beyond_binary64_raise_invalid_parameter():
+    # (l1, 1) is exact, but the float view of 10^400 overflows; p = 2000
+    # runs in binary64, where 2.0 ** 2000 overflows
+    tree = make_tree([(), (0,)])
+    for coef, p in ((Fraction(10**400), 1), (Fraction(2), 2000)):
+        x = BaireVector(tree, {(0,): coef})
+        for evaluate in (baire_norm, baire_norm_witness, baire_norm_oracle):
+            with pytest.raises(InvalidParameter, match="binary64 range"):
+                evaluate(x, L1, p)

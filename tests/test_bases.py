@@ -87,6 +87,8 @@ def test_norm_value_rejects_bad_arguments():
         NormValue.exact(1, 0)
     with pytest.raises(InvalidParameter):
         NormValue.exact(1, Fraction(3, 2))
+    with pytest.raises(InvalidParameter, match="binary64 range"):
+        NormValue.exact(10**400, 1)
     assert NormValue.exact(Fraction(5, 3), Fraction(2)) == NormValue.exact(
         Fraction(5, 3), 2
     )

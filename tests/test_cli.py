@@ -281,6 +281,26 @@ def test_cli_validation_errors(capsys, tmp_path):
         assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["block-min", "--family", "{fam}", "--window", "a,b"],
+     "argument --window: window must be 'start,length'"),
+    (["check-abs", "--family", "{fam}", "--epsilon", "1/2", "--grid", "1,x"],
+     "argument --grid: bad rational 'x'"),
+    (["check-identity", "--identity", "additivity", "--family", "{fam}",
+      "--coeffs", "1,x"],
+     "argument --coeffs: bad rational 'x'"),
+], ids=["window", "grid", "coeffs"])
+def test_list_options_report_their_argument(capsys, tmp_path, argv, message):
+    fam = write(tmp_path, "fam.json",
+                family_to_json(delta_antichain_family(4, BasisKind.L1, 1)))
+    code, out, err = run_cli(capsys, *(fam if a == "{fam}" else a
+                                       for a in argv))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError"
+    assert doc["message"].startswith(message)
+
+
 def _assert_validation_exit(code, out, err):
     assert code == 2 and out == ""
     assert json.loads(err)["error"] in ("ValidationError", "ParseError")

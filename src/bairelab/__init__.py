@@ -52,7 +52,6 @@ from .trees import (
     Segment,
     derived_tree,
     full_kary,
-    generate_tree,
     is_segment,
     lazy_from_tree,
     make_tree,

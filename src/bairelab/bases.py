@@ -68,8 +68,12 @@ class NormValue:
         return cls(base, p, float(base) ** (1 / float(p)))
 
     @classmethod
+    @within_binary64
     def approximate(cls, value):
-        return cls(None, Fraction(1), float(value))
+        value = float(value)
+        if not math.isfinite(value):  # a binary64 sum or square overflowed
+            raise OverflowError(value)
+        return cls(None, Fraction(1), value)
 
     @property
     def is_exact(self):

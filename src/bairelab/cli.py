@@ -23,7 +23,6 @@ from .bases import BasisKind
 from .errors import BaireLabError, InvalidParameter, ValidationError
 from .serialize import (
     dumps_canonical,
-    jsonable,
     load_json_file,
     parse_exponent,
     parse_fraction,
@@ -31,7 +30,7 @@ from .serialize import (
     parse_window,
 )
 from .steps import bush_check, rademacher_bush
-from .trees import derived_tree, generate_tree, order_index, probe_wf
+from .trees import derived_tree, order_index, probe_wf
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,27 +109,27 @@ def _cmd_norm(args):
 
 def _cmd_gen(args):
     family = args.family
-    if family in ("spine", "full-kary", "random"):
-        name = "full_kary" if family == "full-kary" else family
-        if name == "full_kary" and (args.k is None or args.d is None):
+    if family == "full-kary":
+        if args.k is None or args.d is None:
             raise InvalidParameter("full-kary needs --k and --d")
-        if name == "spine" and args.d is None:
+        doc = serialize.tree_to_json(trees.full_kary(args.k, args.d))
+    elif family == "spine":
+        if args.d is None:
             raise InvalidParameter("spine needs --d")
-        if name == "random" and args.n is None:
+        doc = serialize.tree_to_json(trees.spine(args.d))
+    elif family == "random":
+        if args.n is None:
             raise InvalidParameter("random needs --n")
-        tree = generate_tree(name, k=args.k, d=args.d, n=args.n, seed=args.seed)
-        doc = serialize.tree_to_json(tree)
+        doc = serialize.tree_to_json(trees.random_tree(args.n, args.seed))
     elif family == "rademacher-bush":
         if args.K is None:
             raise InvalidParameter("rademacher-bush needs --K")
         doc = serialize.bush_to_json(rademacher_bush(args.K))
-    elif family == "delta-antichain":
+    else:  # delta-antichain; argparse's choices admit nothing else
         if args.n is None or args.basis is None or args.p is None:
             raise InvalidParameter("delta-antichain needs --n, --basis and --p")
         fam = checkers.delta_antichain_family(args.n, args.basis, args.p)
         doc = serialize.family_to_json(fam)
-    else:
-        raise InvalidParameter(f"unknown family {family!r}")
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -187,8 +186,8 @@ def _cmd_check_identity(args):
     return {
         "identity": args.identity,
         "passed": report.passed,
-        "lhs": jsonable(report.lhs),
-        "rhs": jsonable(report.rhs),
+        "lhs": report.lhs,
+        "rhs": report.rhs,
         "exact": report.exact,
     }
 
@@ -218,8 +217,8 @@ def _cmd_block_min(args):
     fam = serialize.family_from_json(load_json_file(args.family))
     coeffs, value = checkers.convex_block_min(fam, args.window)
     return {
-        "coeffs": [jsonable(c) for c in coeffs],
-        "value": serialize.norm_to_json(value),
+        "coeffs": list(coeffs),
+        "value": value,
         "window": list(args.window),
     }
 

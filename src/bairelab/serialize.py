@@ -1,9 +1,14 @@
-"""Canonical JSON interchange for every value the library trades in.
+"""Canonical JSON interchange: the per-type converters and readers for
+trees, vectors, norms, verdicts, steps, bushes and families, and the
+emitter their documents go through.
 
-Output is byte-deterministic: object keys are sorted, rationals are
-decimal-free "p/q" strings (plain "p" for integers), floats are rendered
-with up to 17 significant digits, and no locale-dependent formatting is
-involved anywhere.
+dumps_canonical accepts plain JSON data (dicts with string keys, lists,
+tuples, strings, ints, finite floats, booleans and None) in which
+Fraction and NormValue values may stand anywhere.  Output is
+byte-deterministic: object keys are sorted, rationals are decimal-free
+"p/q" strings (plain "p" for integers), floats are rendered with up to
+17 significant digits, and no locale-dependent formatting is involved
+anywhere.
 """
 
 import json
@@ -16,8 +21,7 @@ from .bases import BasisKind, NormValue
 from .checkers import BaireContext, StepContext, VectorFamily
 from .errors import ParseError, ValidationError
 from .steps import BushLevels, DyadicStep
-from .trees import FiniteTree, Segment, make_tree, node_key
-from .verdicts import Verdict
+from .trees import make_tree, node_key
 
 
 def format_fraction(q):
@@ -122,42 +126,31 @@ def _emit(obj, out):
             _emit(obj[key], out)
         out.append("}")
     else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+        plain = jsonable(obj)
+        if plain is obj:
+            raise ValidationError(f"cannot serialize {type(obj).__name__}")
+        _emit(plain, out)
 
 
 def dumps_canonical(obj):
+    """The canonical JSON text of `obj`, in one walk (see the module
+    docstring for what it accepts)."""
     out = []
-    _emit(jsonable(obj), out)
+    _emit(obj, out)
     return "".join(out)
 
 
 def jsonable(value):
-    """Recursively convert library values to plain JSON-ready data."""
+    """Plain JSON-ready data for a Fraction, a NormValue, or a dict, list
+    or tuple holding them; any other value is returned as it is."""
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, NormValue):
         return norm_to_json(value)
-    if isinstance(value, Segment):
-        return segment_to_json(value)
-    if isinstance(value, FiniteTree):
-        return tree_to_json(value)
-    if isinstance(value, BaireVector):
-        return vector_to_json(value)
-    if isinstance(value, DyadicStep):
-        return step_to_json(value)
-    if isinstance(value, Verdict):
-        return verdict_to_json(value)
-    if isinstance(value, ExponentP):
-        return format_exponent(value)
-    if isinstance(value, BasisKind):
-        return value.value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items)
-        return [jsonable(v) for v in items]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     return value
 
 

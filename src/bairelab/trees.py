@@ -53,19 +53,23 @@ def comparable(s, t):
 class FiniteTree:
     """A prefix-closed finite set of nodes.
 
-    Construct through make_tree (which validates) or the generators below.
-    Iteration is in length-lexicographic order.
+    Unless `_validated`, every node passes check_node, in input order,
+    and then the first node in set order that lacks a prefix raises
+    PrefixClosureViolation with its longest missing prefix; the set is
+    never closed silently.  Iteration is in length-lexicographic order.
     """
 
     __slots__ = ("_nodes", "_sorted", "_children", "_hash")
 
     def __init__(self, nodes, _validated=False):
-        ns = frozenset(tuple(n) for n in nodes)
-        if not _validated:
+        if _validated:
+            ns = frozenset(tuple(n) for n in nodes)
+        else:
+            ns = frozenset(check_node(n) for n in nodes)
             for n in ns:
-                check_node(n)
-                if n and n[:-1] not in ns:
-                    raise PrefixClosureViolation(n, n[:-1])
+                for i in range(len(n) - 1, -1, -1):
+                    if n[:i] not in ns:
+                        raise PrefixClosureViolation(n, n[:i])
         self._nodes = ns
         self._sorted = tuple(sorted(ns, key=node_key))
         self._children = None
@@ -112,17 +116,9 @@ EMPTY_TREE = FiniteTree((), _validated=True)
 
 
 def make_tree(node_list):
-    """Build a tree from a list of nodes, deduplicating.
-
-    Raises PrefixClosureViolation if some node's prefix is missing; the set
-    is never closed silently.
-    """
-    nodes = {check_node(n) for n in node_list}
-    for n in nodes:
-        for i in range(len(n) - 1, -1, -1):
-            if n[:i] not in nodes:
-                raise PrefixClosureViolation(n, n[:i])
-    return FiniteTree(nodes, _validated=True)
+    """Build a tree from a list of nodes, deduplicating and validating
+    them as FiniteTree does."""
+    return FiniteTree(node_list)
 
 
 def prefix_closure(nodes):
@@ -289,17 +285,6 @@ def random_tree(n, seed):
         child_count[child] = 0
         nodes.append(child)
     return FiniteTree(nodes, _validated=True)
-
-
-def generate_tree(family, *, k=None, d=None, n=None, seed=None):
-    """Dispatch by family name: "full_kary", "spine" or "random"."""
-    if family == "full_kary":
-        return full_kary(k, d)
-    if family == "spine":
-        return spine(d)
-    if family == "random":
-        return random_tree(n, 0 if seed is None else seed)
-    raise InvalidParameter(f"unknown tree family {family!r}")
 
 
 # ---------------------------------------------------------------------------

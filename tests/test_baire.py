@@ -506,10 +506,13 @@ def test_support_closure_is_cached_and_correct():
 
 def test_float_views_beyond_binary64_raise_invalid_parameter():
     # (l1, 1) is exact, but the float view of 10^400 overflows; p = 2000
-    # runs in binary64, where 2.0 ** 2000 overflows
+    # runs in binary64, where 2.0 ** 2000 overflows; (l2, 3/2) squares
+    # 10^200 in binary64, which is inf without an OverflowError
     tree = make_tree([(), (0,)])
-    for coef, p in ((Fraction(10**400), 1), (Fraction(2), 2000)):
+    for coef, kind, p in ((Fraction(10**400), L1, 1),
+                          (Fraction(2), L1, 2000),
+                          (Fraction(10**200), L2, Fraction(3, 2))):
         x = BaireVector(tree, {(0,): coef})
         for evaluate in (baire_norm, baire_norm_witness, baire_norm_oracle):
             with pytest.raises(InvalidParameter, match="binary64 range"):
-                evaluate(x, L1, p)
+                evaluate(x, kind, p)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,9 @@ def test_norm_value_rejects_bad_arguments():
         NormValue.exact(1, Fraction(3, 2))
     with pytest.raises(InvalidParameter, match="binary64 range"):
         NormValue.exact(10**400, 1)
+    for value in (math.inf, math.nan, Fraction(10**400)):
+        with pytest.raises(InvalidParameter, match="binary64 range"):
+            NormValue.approximate(value)
     assert NormValue.exact(Fraction(5, 3), Fraction(2)) == NormValue.exact(
         Fraction(5, 3), 2
     )

@@ -27,6 +27,7 @@ from bairelab import (
     weak_null_probe,
 )
 from bairelab.baire import ExponentP
+from bairelab.bases import approx_equal
 from bairelab.checkers import _functional_supports
 from bairelab.errors import (
     BadIndexList,
@@ -253,6 +254,36 @@ def test_convex_block_min_subgradient_mode():
     assert not value.is_exact
     assert value.approx == pytest.approx(0.5, abs=1e-4)
     assert sum(coeffs) == pytest.approx(1.0, abs=1e-9)
+
+
+def _assert_subgradient_minimum(fam, window):
+    """The subgradient result is a point of the simplex whose combination
+    has the returned norm, no larger than the uniform combination's."""
+    start, length = window
+    coeffs, value = convex_block_min(fam, window)
+    assert not value.is_exact
+    assert all(c >= 0 for c in coeffs) and len(coeffs) == length + 1
+    assert approx_equal(sum(coeffs), 1.0)
+    combo = fam.mix([(F(c), start + i) for i, c in enumerate(coeffs)])
+    assert approx_equal(value.approx, fam.norm(combo).approx)
+    uniform = fam.mix([(F(1, length + 1), start + i)
+                       for i in range(length + 1)])
+    assert value.compare(fam.norm(uniform)) <= 0
+    return value
+
+
+def test_convex_block_min_subgradient_in_c0():
+    value = _assert_subgradient_minimum(delta_antichain_family(4, C0, 2),
+                                        (0, 3))
+    assert value.approx == pytest.approx(0.5, abs=1e-4)
+    rng = seeded_rng(1512)
+    for seed in range(3):
+        tree = random_tree(6, seed)
+        vectors = [random_rational_vector(tree, rng, allow_zero=True)
+                   for _ in range(4)]
+        fam = VectorFamily(vectors, BaireContext(C0, F(3, 2)))
+        _assert_subgradient_minimum(fam, (0, 3))
+        _assert_subgradient_minimum(fam, (1, 1))
 
 
 def test_weak_null_probe_examples():

@@ -264,9 +264,10 @@ def test_cli_validation_errors(capsys, tmp_path):
     assert code == 2
     assert json.loads(err)["error"] == "PrefixClosureViolation"
 
-    code, _, err = run_cli(capsys, "rank", "--bogus-flag", "x")
-    assert code == 2
-    assert json.loads(err)["error"] == "ValidationError"
+    for argv in (("rank", "--bogus-flag", "x"), ("gen", "--family", "mystery")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "ValidationError"
 
     code, _, err = run_cli(capsys, "norm", "--vector", "v.json", "--basis",
                            "l7", "--p", "2")
@@ -427,6 +428,22 @@ def test_huge_decimal_exponents_exit_fast(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "", argv
         assert json.loads(err)["error"] == "ValidationError", argv
+
+
+def test_block_min_beyond_binary64_exits_2(capsys, tmp_path):
+    # the (l2, 3/2) subgradient squares 10^200 in binary64, which is inf
+    # without an OverflowError
+    tree = {"nodes": [[], [0], [1]]}
+    fam = write(tmp_path, "fam.json", {
+        "basis": "l2", "p": "3/2", "tree": tree,
+        "vectors": [[{"node": [0], "coef": "1e200"}],
+                    [{"node": [1], "coef": "1"}]]})
+    code, out, err = run_cli(capsys, "block-min", "--family", fam,
+                             "--window", "0,1")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "InvalidParameter"
+    assert "binary64 range" in doc["message"]
 
 
 def test_gen_out_into_a_missing_directory(capsys, tmp_path):

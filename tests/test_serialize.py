@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -7,18 +10,32 @@ from bairelab import (
     BaireContext,
     BaireVector,
     BasisKind,
+    BushLevels,
     NormValue,
     P_ZERO,
     Segment,
     StepContext,
+    TrialCoeffs,
     VectorFamily,
     Verdict,
+    abs_obstruction_falsify,
+    baire_norm_oracle,
+    baire_norm_witness,
+    baire_norm_zero,
+    bs_obstruction_check,
+    bush_check,
     cell_indicator,
+    constant_step,
     delta_antichain_family,
     full_kary,
     make_tree,
     rademacher_bush,
+    random_tree,
+    spine,
+    step_combine,
+    weak_null_probe,
 )
+from bairelab.cli import main
 from bairelab.errors import ParseError, PrefixClosureViolation, ValidationError
 from bairelab.serialize import (
     bush_from_json,
@@ -31,6 +48,7 @@ from bairelab.serialize import (
     norm_to_json,
     parse_exponent,
     parse_fraction,
+    step_to_json,
     tree_from_json,
     tree_to_json,
     vector_from_json,
@@ -38,7 +56,10 @@ from bairelab.serialize import (
     verdict_to_json,
 )
 
+from util import random_rational_vector, seeded_rng
+
 F = Fraction
+L1, L2, C0 = BasisKind.L1, BasisKind.L2, BasisKind.C0
 
 
 def test_fraction_strings():
@@ -148,3 +169,148 @@ def test_load_json_file_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_json_file(bad)
     assert "line 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# golden digest
+
+# SHA-256 over every document of _canonical_documents, emitted by
+# dumps_canonical one line each, recorded while dumps_canonical still
+# converted the whole document to plain data before emitting it.
+CANONICAL_DIGEST = (
+    "e8c472293ccdaa407cd09cf8f278b5024d7c53177f593d24480a62650a669f3c"
+)
+
+EXTREME_FLOATS = (0.0, -0.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
+                  1e16, 2.0**53 + 2, 1e22, 1.7976931348623157e308)
+
+
+def _cli_documents(tmp_path):
+    """Stdout, stderr and exit code of check-identity and block-min runs,
+    and of error exits whose messages name no file path."""
+    tree = make_tree([(), (0,), (1,), (0, 0), (0, 1), (1, 0)])
+    rng = seeded_rng(1510)
+    # root-decomposition needs a zero root coefficient, branch-isometry a
+    # chain support
+    vector = tmp_path / "x.json"
+    vector.write_text(dumps_canonical(vector_to_json(BaireVector(
+        tree, {n: c for n, c in random_rational_vector(tree, rng).coeffs.items()
+               if n}))))
+    families = {}
+    for i, (kind, p) in enumerate(
+            ((C0, P_ZERO), (L1, 1), (L2, 2), (C0, F(3, 2)), (L1, 3))):
+        path = tmp_path / f"fam{i}.json"
+        path.write_text(dumps_canonical(family_to_json(
+            delta_antichain_family(3, kind, p))))
+        families[kind, p] = str(path)
+    steps = tmp_path / "steps.json"
+    steps.write_text(dumps_canonical(family_to_json(VectorFamily(
+        [cell_indicator(1, 1, height=2), cell_indicator(1, 2, height=2),
+         constant_step(F(1, 3))], StepContext()))))
+    chain = tmp_path / "chain.json"
+    chain.write_text(dumps_canonical(vector_to_json(BaireVector(
+        spine(4), {(0,): F(-3, 2), (0, 0, 0): 2, (0, 0, 0, 0): F(1, 7)}))))
+    gap = tmp_path / "gap.json"
+    gap.write_text('{"nodes": [[], [0, 1]]}')
+    runs = []
+    for (kind, p), path in families.items():
+        runs.append(["block-min", "--family", path, "--window", "0,2"])
+        runs.append(["block-min", "--family", path, "--window", "1,1"])
+        runs.append(["check-identity", "--identity", "additivity",
+                     "--family", path, "--coeffs", "1,-2/3,5"])
+    runs.append(["block-min", "--family", str(steps), "--window", "0,2"])
+    for identity, path in (("branch-isometry", chain),
+                           ("root-decomposition", vector)):
+        for basis in ("l1", "l2", "c0"):
+            for p in ("1", "2", "3/2", "3"):
+                runs.append(["check-identity", "--identity", identity,
+                             "--vector", str(path), "--basis", basis,
+                             "--p", p])
+    runs += [
+        ["block-min", "--family", families[L1, 1], "--window", "2,3"],
+        ["check-identity", "--identity", "branch-isometry"],
+        ["check-identity", "--identity", "root-decomposition",
+         "--vector", str(vector), "--basis", "l1", "--p", "0"],
+        ["rank", "--tree", str(gap)],
+        ["gen", "--family", "spine"],
+        ["gen", "--family", "spine", "--d", "-1"],
+        ["norm", "--vector", "-", "--basis", "l7", "--p", "1"],
+    ]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        yield {"argv": argv[0], "code": code, "out": out.getvalue(),
+               "err": err.getvalue()}
+
+
+def _canonical_documents(tmp_path):
+    rng = seeded_rng(1509)
+    trees = [make_tree([()]), full_kary(2, 3), full_kary(3, 2), spine(6)]
+    trees += [random_tree(n, seed) for n in (4, 9, 15) for seed in range(3)]
+    for tree in trees:
+        yield tree_to_json(tree)
+        for allow_zero in (False, True):
+            x = random_rational_vector(tree, rng, allow_zero=allow_zero)
+            yield vector_to_json(x)
+            for kind in (L1, L2, C0):
+                nv, seg = baire_norm_zero(x, kind, with_witness=True)
+                yield norm_to_json(nv, [seg] if seg is not None else [])
+                for p in (1, 2, F(3, 2), 3):
+                    yield norm_to_json(*baire_norm_witness(x, kind, p))
+                    if len(tree) <= 9:
+                        yield norm_to_json(*baire_norm_oracle(
+                            x, kind, p, with_witness=True))
+    huge = BaireVector(spine(3), {(0,): F(10**40, 3), (0, 0): F(-1, 10**30)})
+    yield vector_to_json(huge)
+    yield norm_to_json(*baire_norm_witness(huge, L2, 3))
+    for value in EXTREME_FLOATS:
+        yield norm_to_json(NormValue.approximate(value), [Segment((), (0,))])
+        yield {"value": value, "values": [value, -value]}
+    yield norm_to_json(NormValue.exact(F(25, 16), 2))
+    yield norm_to_json(NormValue.exact(F(10**30 + 1, 7), 3))
+    for kind in (L1, L2, C0):
+        for p in (P_ZERO, 1, 2, F(3, 2)):
+            yield family_to_json(delta_antichain_family(4, kind, p))
+    steps = [cell_indicator(2, 3, height=F(-5, 3)), constant_step(F(1, 7), 1),
+             step_combine(F(1, 2), cell_indicator(1, 1), F(-2), cell_indicator(2, 4))]
+    yield family_to_json(VectorFamily(steps, StepContext()))
+    for f in steps:
+        yield step_to_json(f)
+    for K in (1, 2, 3):
+        yield bush_to_json(rademacher_bush(K))
+    # verdicts: passing, violated and inconclusive
+    verdicts = [
+        bs_obstruction_check(delta_antichain_family(4, L1, 1), F(1, 2)),
+        bs_obstruction_check(delta_antichain_family(4, C0, P_ZERO), F(1, 2)),
+        bs_obstruction_check(delta_antichain_family(3, L2, 2), F(2, 3)),
+        bs_obstruction_check(delta_antichain_family(3, L1, F(3, 2)), F(9, 10)),
+        abs_obstruction_falsify(delta_antichain_family(6, C0, P_ZERO), F(1, 2),
+                                TrialCoeffs(grid=(F(1), F(-1, 2)))),
+        abs_obstruction_falsify(delta_antichain_family(6, L1, 1), F(1, 2),
+                                TrialCoeffs(random_trials=5, seed=2)),
+        abs_obstruction_falsify(delta_antichain_family(5, L2, 3), F(4, 5)),
+        weak_null_probe(delta_antichain_family(6, C0, P_ZERO), F(1, 3)),
+        weak_null_probe(delta_antichain_family(4, L1, 1), F(1, 2)),
+        weak_null_probe(delta_antichain_family(3, L2, 2), F(9, 10)),
+    ]
+    bush = rademacher_bush(3)
+    levels = [list(level) for level in bush.levels]
+    levels[2][1] = step_combine(1, levels[2][1], 1, constant_step(F(1, 100)))
+    perturbed = BushLevels(tuple(tuple(level) for level in levels))
+    for candidate, delta, bound in ((bush, F(1, 2), 1), (bush, 1, 1),
+                                    (bush, F(1, 2), F(1, 2)),
+                                    (perturbed, F(1, 2), 2)):
+        verdicts.append(bush_check(candidate, delta, bound))
+    verdicts.append(Verdict.violated(m=2, value=NormValue.exact(F(1, 2), 2),
+                                     coeffs=(F(1, 3), 0.25)))
+    for v in verdicts:
+        yield verdict_to_json(v)
+    yield from _cli_documents(tmp_path)
+
+
+def test_canonical_json_is_pinned_bit_for_bit(tmp_path):
+    digest = hashlib.sha256()
+    for doc in _canonical_documents(tmp_path):
+        digest.update(dumps_canonical(doc).encode() + b"\n")
+    assert digest.hexdigest() == CANONICAL_DIGEST

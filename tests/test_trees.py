@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -9,7 +10,6 @@ from bairelab import (
     Segment,
     derived_tree,
     full_kary,
-    generate_tree,
     is_segment,
     lazy_from_tree,
     make_tree,
@@ -40,10 +40,63 @@ def test_make_tree_accepts_prefix_closed():
 
 
 def test_make_tree_rejects_missing_prefix():
-    with pytest.raises(PrefixClosureViolation) as exc:
-        make_tree([(0, 1)])
-    assert exc.value.node == (0, 1)
-    assert exc.value.missing_prefix == (0,)
+    for build in (make_tree, FiniteTree):
+        with pytest.raises(PrefixClosureViolation) as exc:
+            build([(0, 1)])
+        assert exc.value.node == (0, 1)
+        assert exc.value.missing_prefix == (0,)
+
+
+# SHA-256 over (error, node, missing_prefix, message) of every input of
+# _unclosed_node_lists, one line each, recorded while FiniteTree still had
+# a parent-only closure check of its own.
+MAKE_TREE_DIAGNOSTICS_DIGEST = (
+    "66c18b8155e7f877c5fda0a55b17a8a6353091f9311c4319704b2ec06089142c"
+)
+
+
+def _unclosed_node_lists():
+    """Seeded node lists that are not prefix-closed: random nodes with
+    duplicates, some with an entry check_node rejects, then chains
+    missing exactly one prefix."""
+    rng = seeded_rng(1511)
+    count = 0
+    while count < 20000:
+        nodes = [tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
+                 for _ in range(rng.randint(1, 24))]
+        nodes.append(tuple(rng.randrange(3) for _ in range(rng.randint(2, 6))))
+        present = set(nodes)
+        if all(n[:-1] in present for n in nodes if n):
+            continue
+        count += 1
+        nodes += rng.sample(nodes, rng.randrange(3))
+        rng.shuffle(nodes)
+        if rng.random() < 0.05:
+            bad = rng.choice([(-1,), (0, 2**32), (1, True)])
+            nodes.insert(rng.randrange(len(nodes) + 1), bad)
+        yield nodes
+    for depth in range(1, 41):
+        for gap in range(depth):
+            for label in (0, 7):
+                nodes = [(label,) * i for i in range(depth + 1) if i != gap]
+                yield nodes
+                yield nodes[::-1]
+
+
+def test_make_tree_diagnostics_are_pinned():
+    digest = hashlib.sha256()
+    closed = 0
+    for nodes in _unclosed_node_lists():
+        try:
+            make_tree(nodes)
+        except (PrefixClosureViolation, InvalidParameter) as exc:
+            line = (type(exc).__name__, getattr(exc, "node", None),
+                    getattr(exc, "missing_prefix", None), str(exc))
+            digest.update(repr(line).encode() + b"\n")
+        else:
+            closed += 1
+    assert closed == 0
+    assert digest.hexdigest() == MAKE_TREE_DIAGNOSTICS_DIGEST
 
 
 def test_make_tree_collapses_duplicates():
@@ -181,11 +234,8 @@ def test_generate_tree_families():
     assert len(t) == 10
     make_tree(t.nodes)
     assert random_tree(10, 42) == t
-    assert generate_tree("full_kary", k=2, d=2) == full_kary(2, 2)
     with pytest.raises(InvalidParameter):
         full_kary(0, 2)
-    with pytest.raises(InvalidParameter):
-        generate_tree("mystery")
 
 
 def test_probe_wf_zeros_branch():

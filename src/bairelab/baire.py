@@ -119,8 +119,8 @@ class BaireVector:
             node = tuple(node)
             if node not in tree:
                 raise InvalidParameter(f"coefficient node {node} not in tree")
-            c = Fraction(c)
-            if c != 0:
+            c = c if type(c) is Fraction else Fraction(c)
+            if c:
                 clean[node] = c
         self.tree = tree
         self._coeffs = clean
@@ -183,19 +183,37 @@ def vector_combine(a, x, b, y):
 
 
 def linear_combination(pairs):
-    """Sum of coefficient-vector pairs sharing one tree."""
+    """Sum of coefficient-vector pairs sharing one tree.
+
+    Every input is read through its scaled() integers and put over one
+    common denominator d, so the sum is integer work.  Dividing d and the
+    summed numerators by their gcd leaves exactly the result's scaled():
+    d / gcd is the lcm of the reduced coefficient denominators."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidParameter("empty combination has no ambient tree")
     tree = pairs[0][1].tree
-    out = {}
+    terms = []
     for a, x in pairs:
         if x.tree != tree:
             raise TreeMismatch("vectors live on different trees")
-        a = Fraction(a)
-        for n, c in x.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + a * c
-    return BaireVector(tree, out)
+        a = a if type(a) is Fraction else Fraction(a)
+        dx, ints = x.scaled()
+        terms.append((a.numerator, a.denominator * dx, ints))
+    d = math.lcm(*(den for _, den, _ in terms))
+    out = {}
+    for num, den, ints in terms:
+        f = num * (d // den)
+        for n, c in ints.items():
+            out[n] = out.get(n, 0) + f * c
+    out = {n: v for n, v in out.items() if v}
+    g = math.gcd(d, *out.values())
+    if g > 1:
+        d //= g
+        out = {n: v // g for n, v in out.items()}
+    vec = BaireVector(tree, {n: Fraction(v, d) for n, v in out.items()})
+    vec._scaled = (d, out)
+    return vec
 
 
 def segment_vector(x, segment):

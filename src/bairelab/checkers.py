@@ -132,24 +132,30 @@ def cesaro_mean(family, indices, alternating=False):
     if not idx:
         raise BadIndexList("at least one index is required")
     for k in idx:
-        if not isinstance(k, int) or not (0 <= k < len(family)):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise BadIndexList(f"index {k!r} must be an integer")
+        if not 0 <= k < len(family):
             raise BadIndexList(f"index {k!r} out of range")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise BadIndexList("indices must be strictly increasing")
     m = len(idx)
-    pairs = []
-    for k, i in enumerate(idx, start=1):
-        sign = -1 if (alternating and k % 2 == 1) else 1
-        pairs.append((Fraction(sign, m), i))
-    mean = family.mix(pairs)
+    plus = Fraction(1, m)
+    odd = -plus if alternating else plus
+    mean = family.mix(
+        [(odd if k % 2 == 1 else plus, i) for k, i in enumerate(idx, start=1)]
+    )
     return mean, family.norm(mean)
 
 
 def _violation_candidates(n):
+    """(m, ell, index tuple, split-mean coefficients) in lexicographic
+    order; the +-1/m coefficient lists are built once per m."""
     for m in range(1, n + 1):
+        plus, minus = Fraction(1, m), Fraction(-1, m)
+        splits = [[plus] * ell + [minus] * (m - ell) for ell in range(1, m + 1)]
         for tup in itertools.combinations(range(n), m):
-            for ell in range(1, m + 1):
-                yield m, tup, ell
+            for ell, coeffs in enumerate(splits, start=1):
+                yield m, ell, tup, coeffs
 
 
 def bs_obstruction_check(family, epsilon):
@@ -172,12 +178,8 @@ def bs_obstruction_check(family, epsilon):
         if not nv.at_most(1):
             raise NotInUnitBall(i, nv)
 
-    for m, tup, ell in _violation_candidates(n):
-        pairs = [
-            (Fraction(1 if k <= ell else -1, m), i)
-            for k, i in enumerate(tup, start=1)
-        ]
-        value = family.norm(family.mix(pairs))
+    for m, ell, tup, coeffs in _violation_candidates(n):
+        value = family.norm(family.mix(zip(coeffs, tup)))
         if value.below(epsilon):
             return Verdict.violated(
                 m=m, ell=ell, indices=list(tup), value=value
@@ -256,12 +258,13 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     ell = 1
     while (ell - 1) + 2**ell <= n:
         size = 2**ell
-        coeff_vectors = trials.vectors(size)
+        # each sampled vector with its bound epsilon * sum |c_i|
+        coeff_vectors = [(c, epsilon * sum(abs(v) for v in c))
+                         for c in trials.vectors(size)]
         tested.append(f"ell={ell}: {trials.describe(size)}")
         for tup in itertools.combinations(range(ell - 1, n), size):
-            for c in coeff_vectors:
+            for c, rhs in coeff_vectors:
                 lhs = family.norm(family.mix(zip(c, tup)))
-                rhs = epsilon * sum(abs(v) for v in c)
                 if lhs.below(rhs):
                     return Verdict.violated(
                         ell=ell,
@@ -476,6 +479,9 @@ SUBGRADIENT_ITERATIONS = 400
 def convex_block_min(family, window):
     """Convex combination over a consecutive window minimizing the norm.
 
+    window = (start, length) covers vectors start..start+length
+    inclusive, length + 1 of them, and returns one coefficient each.
+
     Polyhedral contexts (summable or sup ingredient with p in {1, 0}, and
     dyadic-step families) are solved exactly by a rational simplex over
     the enumerated generating functionals; other contexts run projected
@@ -510,8 +516,11 @@ def weak_null_probe(family, epsilon):
     below epsilon.
 
     Tries uniform window lengths 1..len(family) (final remainder window
-    may be shorter).  Pass carries the witnessing blocks; a finite prefix
-    can never refute weak nullity, so the alternative is Inconclusive.
+    may be shorter); here a length is the count of vectors per block, so
+    window_length k calls convex_block_min with (start, k - 1), and each
+    block's "length" is its vector count.  Pass carries the witnessing
+    blocks; a finite prefix can never refute weak nullity, so the
+    alternative is Inconclusive.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:

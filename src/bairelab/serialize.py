@@ -79,7 +79,8 @@ def parse_fraction_list(text):
 
 
 def parse_window(text):
-    """A block window "start,length" of two integers."""
+    """A block window "start,length" of two integers; it covers vectors
+    start..start+length inclusive, length + 1 of them."""
     parts = text.split(",")
     if len(parts) == 2:
         try:

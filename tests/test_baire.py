@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 
 from bairelab import (
+    BaireContext,
     BaireVector,
     BasisKind,
     P_ZERO,
     Segment,
+    TrialCoeffs,
+    VectorFamily,
+    abs_obstruction_falsify,
     baire_norm,
     baire_norm_oracle,
     baire_norm_witness,
     baire_norm_zero,
     basis_norm,
+    bs_obstruction_check,
+    cesaro_mean,
     check_branch_isometry,
     check_incomparable_additivity,
     check_root_decomposition,
@@ -70,6 +76,108 @@ def test_vector_combine_examples():
 def test_vector_combine_requires_shared_tree():
     with pytest.raises(TreeMismatch):
         vector_combine(1, delta(FORK, (0,)), 1, delta(spine(1), (0,)))
+
+
+def _unit_ball(x):
+    """x divided by its coefficient l1 sum, which bounds every norm here."""
+    total = sum(abs(c) for c in x.coeffs.values())
+    return linear_combination([(1 / total, x)]) if total else x
+
+
+def _pinned_combinations():
+    """Seeded linear combinations: int, str, Fraction and float
+    coefficients (zeros included), full cancellations, inputs on equal
+    but distinct trees, generator input, limit_denominator(10**12)
+    coefficients and combinations of combinations."""
+    rng = seeded_rng(1510)
+    for seed in range(8):
+        tree = random_tree(7, seed)
+        twin = make_tree(list(tree))
+        xs = [random_rational_vector(tree, rng, allow_zero=True)
+              for _ in range(4)]
+        xs.append(BaireVector(twin, xs[0].coeffs))
+        xs.append(BaireVector(tree, {}))
+        for _ in range(6):
+            coeffs = [
+                rng.choice([
+                    rng.randint(-3, 3),
+                    f"{rng.randint(-5, 5)}/{rng.randint(1, 6)}",
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    rng.choice([0.5, -0.25, 0.1, 1 / 3, -1e-3, 0.0]),
+                    Fraction(rng.uniform(-1, 1)).limit_denominator(10**12),
+                ])
+                for _ in xs
+            ]
+            combo = linear_combination(zip(coeffs, xs))
+            yield combo
+            yield linear_combination(
+                [(Fraction(1, 3), combo), (2, xs[1]), (0, xs[2])])
+        yield linear_combination([(1, xs[0]), (-1, xs[4])])
+        yield vector_combine(Fraction(2, 7), xs[1], Fraction(-2, 7), xs[1])
+        yield vector_combine(0, xs[2], 0, xs[3])
+        yield linear_combination([(5, xs[3])])
+
+
+def _pinned_families(rng):
+    """Mixed-support five-vector families inside the unit ball."""
+    for seed in range(3):
+        tree = random_tree(6, 20 + seed)
+        vectors = []
+        for _ in range(5):
+            x = random_rational_vector(tree, rng, allow_zero=True)
+            keep = {n: c for n, c in x.coeffs.items() if rng.random() < 0.6}
+            vectors.append(_unit_ball(BaireVector(tree, keep)))
+        yield vectors
+
+
+def _pinned_verdicts():
+    rng = seeded_rng(1511)
+    contexts = [(L1, 1), (L1, 2), (C0, P_ZERO), (L2, 2),
+                (L2, 1), (L1, Fraction(3, 2)), (C0, 3)]
+    trials = TrialCoeffs(grid=(Fraction(-1), Fraction(1, 2), Fraction(1)),
+                         random_trials=4, seed=5)
+    for vectors in _pinned_families(rng):
+        for kind, p in contexts:
+            fam = VectorFamily(vectors, BaireContext(kind, p))
+            for idx in ([0], [1, 3], [0, 2, 3, 4]):
+                for alternating in (False, True):
+                    yield cesaro_mean(fam, idx, alternating)
+            for eps in (Fraction(1, 100), Fraction(1, 3)):
+                yield bs_obstruction_check(fam, eps)
+                yield abs_obstruction_falsify(fam, eps, trials)
+
+
+# SHA-256 over repr(v), repr(sorted(v.coeffs.items())) and
+# repr(v.scaled()) of every _pinned_combinations vector, then
+# repr(out) of every _pinned_verdicts output, one line each; recorded
+# with the Fraction-summing linear_combination.
+LINEAR_COMBINATION_DIGEST = (
+    "ec56725eead3f533b93c54533898ae7393fae4b35359e59f8c7aadf6e7a7d827"
+)
+
+
+def test_linear_combination_is_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for v in _pinned_combinations():
+        for part in (v, sorted(v.coeffs.items()), v.scaled()):
+            digest.update(repr(part).encode() + b"\n")
+    for out in _pinned_verdicts():
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == LINEAR_COMBINATION_DIGEST
+
+
+def test_linear_combination_scaled_matches_its_coefficients():
+    for v in _pinned_combinations():
+        d = math.lcm(*(c.denominator for c in v.coeffs.values())) \
+            if v.coeffs else 1
+        assert v.scaled() == (d, {n: c * d for n, c in v.coeffs.items()})
+        assert all(type(i) is int for i in v.scaled()[1].values())
+        assert all(type(c) is Fraction and c for c in v.coeffs.values())
+    with pytest.raises(InvalidParameter, match="empty combination"):
+        linear_combination(iter(()))
+    with pytest.raises(TreeMismatch, match="different trees"):
+        linear_combination([(1, delta(FORK, (0,))),
+                            (0, BaireVector(spine(1), {}))])
 
 
 def test_vector_rejects_foreign_nodes():

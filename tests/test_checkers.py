@@ -67,6 +67,14 @@ def test_cesaro_mean_index_validation():
         cesaro_mean(fam, [0, 5])
 
 
+def test_cesaro_mean_rejects_non_integer_indices():
+    # booleans are ints to isinstance, so they need their own check
+    fam = delta_antichain_family(3, L1, 1)
+    for idx in ([False, True], [0, True], [0, 1.0], [F(1)], ["1"]):
+        with pytest.raises(BadIndexList, match="must be an integer"):
+            cesaro_mean(fam, idx)
+
+
 def test_cesaro_scaling_covariance():
     fam = delta_antichain_family(4, L1, 2)
     scaled = VectorFamily(

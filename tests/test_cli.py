@@ -254,6 +254,24 @@ def test_block_min_command(capsys, tmp_path):
     assert doc["value"]["exact"]["power_base"] == "1/4"
 
 
+def test_block_min_window_holds_length_plus_one_vectors(capsys, tmp_path):
+    # "start,length" covers vectors start..start+length
+    fam = str(tmp_path / "fam.json")
+    code, _, _ = run_cli(capsys, "gen", "--family", "delta-antichain",
+                         "--n", "6", "--basis", "l1", "--p", "1", "--out", fam)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "block-min", "--family", fam,
+                           "--window", "0,0")
+    assert code == 0 and json.loads(out)["coeffs"] == ["1"]
+    code, out, _ = run_cli(capsys, "block-min", "--family", fam,
+                           "--window", "2,3")
+    assert code == 0 and len(json.loads(out)["coeffs"]) == 4
+    code, out, err = run_cli(capsys, "block-min", "--family", fam,
+                             "--window", "3,3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WindowOutOfRange"
+
+
 def test_cli_validation_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rank", "--tree", str(tmp_path / "no.json"))
     assert code == 2

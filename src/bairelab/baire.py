@@ -102,6 +102,18 @@ def exact_mode(kind, p):
     return p.value == 2
 
 
+def _coefficient(c):
+    """c as a Fraction; a bool or a non-finite float raises
+    InvalidParameter instead of being coerced or failing bare."""
+    if isinstance(c, bool):
+        raise InvalidParameter(f"coefficients must be rational, got {c!r}")
+    try:
+        return Fraction(c)
+    except (ValueError, OverflowError):
+        raise InvalidParameter(
+            f"coefficients must be rational, got {c!r}") from None
+
+
 class BaireVector:
     """A finitely supported rational coefficient assignment on a tree.
 
@@ -119,7 +131,7 @@ class BaireVector:
             node = tuple(node)
             if node not in tree:
                 raise InvalidParameter(f"coefficient node {node} not in tree")
-            c = c if type(c) is Fraction else Fraction(c)
+            c = c if type(c) is Fraction else _coefficient(c)
             if c:
                 clean[node] = c
         self.tree = tree
@@ -174,7 +186,7 @@ class BaireVector:
 
 def delta(tree, node, c=1):
     """The vector carrying coefficient c at a single node."""
-    return BaireVector(tree, {tuple(node): Fraction(c)})
+    return BaireVector(tree, {tuple(node): c})
 
 
 def vector_combine(a, x, b, y):
@@ -197,7 +209,7 @@ def linear_combination(pairs):
     for a, x in pairs:
         if x.tree != tree:
             raise TreeMismatch("vectors live on different trees")
-        a = a if type(a) is Fraction else Fraction(a)
+        a = a if type(a) is Fraction else _coefficient(a)
         dx, ints = x.scaled()
         terms.append((a.numerator, a.denominator * dx, ints))
     d = math.lcm(*(den for _, den, _ in terms))
@@ -235,8 +247,8 @@ def _segment_dp(x, kind, p, *, witness):
     baire_norm_zero.
 
     Exact mode runs on x.scaled() integers, binary64 mode on float(c).
-    Nodes are indexed in length-lexicographic order, so index order is
-    node_key order and every parent precedes its children.  Per node i:
+    Nodes are indexed as in the closure's compiled(): in node_key order,
+    so every parent precedes its children.  Per node i:
 
     - acc[i]: the best single-segment block accumulator starting at i
       (an absolute sum, a sum of squares or a maximum); end[i]: its least
@@ -263,7 +275,7 @@ def _segment_dp(x, kind, p, *, witness):
     exact = exact_mode(kind, p)
     coeffs = x._coeffs
     # the zero vector runs as a lone root without coefficient
-    order = list(x.support_closure()) or [()]
+    order, _, kids = (x.support_closure() or prefix_closure([()])).compiled()
     n = len(order)
     if exact:
         d, ints = x.scaled()
@@ -272,10 +284,6 @@ def _segment_dp(x, kind, p, *, witness):
     else:
         coef = [float(coeffs[v]) if v in coeffs else 0.0 for v in order]
         zero = 0.0
-    index = {v: i for i, v in enumerate(order)}
-    kids = [[] for _ in order]
-    for i in range(1, n):
-        kids[index[order[i][:-1]]].append(i)
 
     is_l2 = kind is BasisKind.L2
     is_c0 = kind is BasisKind.C0
@@ -425,21 +433,18 @@ def _sorted_family(segs):
 
 def _segment_families(closure):
     """Every valid family over `closure`: an antichain of start nodes,
-    one downward segment per start node.  Exponential; oracle use only."""
-    if not len(closure):
+    one downward segment per start node, built bottom-up over the
+    closure's compiled() form.  Exponential; oracle use only."""
+    order, _, kids = closure.compiled()
+    if not order:
         return ((),)
-    descendants = {v: [] for v in closure}
-    for u in closure:
-        for i in range(len(u) + 1):
-            descendants[u[:i]].append(u)
-
-    def fam(v):
-        child_opts = [fam(c) for c in closure.children(v)]
-        out = [sum(combo, ()) for combo in itertools.product(*child_opts)]
-        out.extend(((v, u),) for u in descendants[v])
-        return tuple(out)
-
-    return fam(())
+    fams, subtree = [None] * len(order), [None] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        subtree[i] = sum((subtree[c] for c in kids[i]), [order[i]])
+        fams[i] = [sum(combo, ()) for combo in
+                   itertools.product(*(fams[c] for c in kids[i]))]
+        fams[i] += (((order[i], u),) for u in subtree[i])
+    return tuple(fams[0])
 
 
 @within_binary64

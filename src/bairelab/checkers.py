@@ -201,7 +201,8 @@ class TrialCoeffs:
     inequality is invariant under a global flip).  grid: per-coordinate
     rational values, expanded as a full product while it stays within
     MAX_GRID_POINTS.  random_trials: seeded random rational vectors per
-    index tuple.
+    index tuple.  Only the first vector on each positive ray is kept:
+    the tested inequality is invariant under positive scaling.
     """
 
     grid: tuple = ()
@@ -236,7 +237,11 @@ class TrialCoeffs:
                 )
                 if any(v != 0 for v in c):
                     out.append(c)
-        return out
+        rays = {}
+        for c in out:
+            scale = sum(map(abs, c))
+            rays.setdefault(tuple(v / scale for v in c), c)
+        return list(rays.values())
 
 
 def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
@@ -303,6 +308,16 @@ def _functional_supports(closure, kind, p):
             f"support closure of {len(closure)} nodes: the segment-family "
             f"enumeration is capped at {MAX_FAMILY_NODES} closure nodes"
         )
+    elif kind is not BasisKind.L1:
+        # counted before any family is built: an antichain support A below
+        # weighs 2 ** |A|.  With the empty one weighing 1, the antichains of
+        # v's subtree, {v} or a union of one per child subtree, weigh
+        # W(v) = 2 + prod W(child) in all
+        order, _, kids = closure.compiled()
+        weight = [0] * len(order)
+        for i in range(len(order) - 1, -1, -1):
+            weight[i] = 2 + math.prod(weight[c] for c in kids[i])
+        _functional_budget(weight[0] - 1 if order else 0)
     if kind is BasisKind.L1:
         if p.is_zero:
             families = [((a, v),) for v in closure
@@ -355,8 +370,7 @@ def _lp_min_norm_baire(vectors, kind, p):
     for v in vectors:
         support |= v.support
     closure = prefix_closure(support)
-    nodes = list(closure)
-    index = {s: j for j, s in enumerate(nodes)}
+    nodes, index, _ = closure.compiled()
     supports = _maximal_supports(_functional_supports(closure, kind, p))
     n = len(nodes)
     zero = Fraction(0)

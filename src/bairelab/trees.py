@@ -59,7 +59,7 @@ class FiniteTree:
     never closed silently.  Iteration is in length-lexicographic order.
     """
 
-    __slots__ = ("_nodes", "_sorted", "_children", "_hash")
+    __slots__ = ("_nodes", "_sorted", "_compiled", "_hash")
 
     def __init__(self, nodes, _validated=False):
         if _validated:
@@ -72,7 +72,7 @@ class FiniteTree:
                         raise PrefixClosureViolation(n, n[:i])
         self._nodes = ns
         self._sorted = tuple(sorted(ns, key=node_key))
-        self._children = None
+        self._compiled = None
         self._hash = None
 
     @property
@@ -101,15 +101,23 @@ class FiniteTree:
     def __repr__(self):
         return f"FiniteTree({list(self._sorted)!r})"
 
+    def compiled(self):
+        """(order, index, kids), built once and shared read-only: the nodes
+        in node_key order, each node's position there, and per position
+        the positions of its children, ascending."""
+        if self._compiled is None:
+            index = {v: i for i, v in enumerate(self._sorted)}
+            kids = [[] for _ in index]
+            for i in range(1, len(kids)):
+                kids[index[self._sorted[i][:-1]]].append(i)
+            self._compiled = (self._sorted, index, kids)
+        return self._compiled
+
     def children(self, node):
-        """Child nodes of `node` within the tree, in ascending label order."""
-        if self._children is None:
-            cmap = {n: [] for n in self._nodes}
-            for n in self._sorted:
-                if n:
-                    cmap[n[:-1]].append(n)
-            self._children = {k: tuple(v) for k, v in cmap.items()}
-        return self._children.get(tuple(node), ())
+        """Child nodes of `node` in ascending label order; () if absent."""
+        order, index, kids = self.compiled()
+        i = index.get(tuple(node))
+        return () if i is None else tuple(order[c] for c in kids[i])
 
 
 EMPTY_TREE = FiniteTree((), _validated=True)

@@ -185,6 +185,16 @@ def test_vector_rejects_foreign_nodes():
         BaireVector(FORK, {(2,): 1})
 
 
+def test_non_rational_coefficients_raise_invalid_parameter():
+    # a bool is an int and NaN and inf are floats, but none is rational
+    x = delta(FORK, (0,))
+    for c in (True, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter, match="must be rational"):
+            BaireVector(FORK, {(1,): c})
+        with pytest.raises(InvalidParameter, match="must be rational"):
+            linear_combination([(c, x)])
+
+
 def test_segment_vector_examples():
     chain = spine(2)
     x = BaireVector(chain, {(): 1, (0,): 1, (0, 0): 1})

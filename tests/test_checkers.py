@@ -28,6 +28,7 @@ from bairelab import (
 )
 from bairelab.baire import ExponentP
 from bairelab.bases import approx_equal
+from bairelab import checkers
 from bairelab.checkers import _functional_supports
 from bairelab.errors import (
     BadIndexList,
@@ -218,6 +219,27 @@ def test_functional_bound_is_the_exact_count_for_p_zero():
     # p >= 1 enumerates segment families, capped by the closure size
     with pytest.raises(FunctionalSetTooLarge, match="capped at 20 closure"):
         _functional_supports(spine(20), C0, ExponentP.of(1))
+
+
+def test_c0_functional_count_precedes_the_family_enumeration(monkeypatch):
+    # the count is the sum of 2 ** |A| over the antichain supports, and a
+    # count past the bound refuses before any family is enumerated
+    p = ExponentP.of(1)
+    for nodes in canonical_shapes(7):
+        closure = make_tree(nodes)
+        total = sum(2 ** len(u) for u in _functional_supports(closure, C0, p))
+        with monkeypatch.context() as m:
+            m.setattr(checkers, "MAX_FUNCTIONALS", total - 1)
+            m.setattr(checkers, "_segment_families",
+                      lambda _: pytest.fail("families enumerated"))
+            with pytest.raises(FunctionalSetTooLarge,
+                               match=f"^{total} generating functionals"):
+                _functional_supports(closure, C0, p)
+    start = time.perf_counter()
+    with pytest.raises(FunctionalSetTooLarge, match="^1162261468 generating "
+                       "functionals exceed the bound 100000$"):
+        convex_block_min(delta_antichain_family(19, C0, 1), (0, 18))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_convex_block_min_matches_grid_oracle():

@@ -165,6 +165,28 @@ def test_localized_rank_drop():
             assert order_index(subtree_at(t, child[0])) < o
 
 
+def test_compiled_form_matches_the_definitions():
+    rng = seeded_rng(7)
+    trees = [make_tree(nodes) for nodes in canonical_shapes(6)]
+    trees += [random_tree(rng.randint(0, 40), rng.randint(0, 10**6))
+              for _ in range(50)]
+    for t in trees:
+        form = t.compiled()
+        assert t.compiled() is form
+        order, index, kids = form
+        assert order == tuple(t)
+        assert len(index) == len(order)
+        for i, v in enumerate(order):
+            assert index[v] == i
+            below = [j for j, u in enumerate(order)
+                     if len(u) == len(v) + 1 and u[: len(v)] == v]
+            assert kids[i] == below
+            assert t.children(v) == tuple(order[j] for j in below)
+            assert t.children(list(v)) == t.children(v)
+        # a root child labelled past the node count is never in the tree
+        assert t.children((len(t),)) == ()
+
+
 def test_subtree_and_restriction_examples():
     t = make_tree([(), (0,), (1,), (0, 0)])
     assert subtree_at(t, 0).nodes == {(), (0,)}

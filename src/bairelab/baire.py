@@ -30,7 +30,6 @@ a single segment starts here and owns the whole subtree.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -39,6 +38,7 @@ from .errors import (
     InvalidParameter,
     InvalidSegment,
     NonzeroRootCoefficient,
+    Record,
     SupportNotChain,
     SupportsNotIncomparable,
     TooLargeForOracle,
@@ -60,16 +60,18 @@ from .verdicts import CheckReport
 MAX_ORACLE_NODES = 14
 
 
-@dataclass(frozen=True)
-class ExponentP:
+class ExponentP(Record):
     """Aggregation exponent: a rational p >= 1, or the single-segment
     variant (value None, written "0" on the wire)."""
 
-    value: Fraction | None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction | None):
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def of(cls, p):
-        p = Fraction(p)
+        p = _coefficient(p, "the exponent")
         if p == 0:
             return P_ZERO
         if p < 1:
@@ -102,16 +104,15 @@ def exact_mode(kind, p):
     return p.value == 2
 
 
-def _coefficient(c):
+def _coefficient(c, what="coefficients"):
     """c as a Fraction; a bool or a non-finite float raises
     InvalidParameter instead of being coerced or failing bare."""
     if isinstance(c, bool):
-        raise InvalidParameter(f"coefficients must be rational, got {c!r}")
+        raise InvalidParameter(f"{what} must be rational, got {c!r}")
     try:
         return Fraction(c)
     except (ValueError, OverflowError):
-        raise InvalidParameter(
-            f"coefficients must be rational, got {c!r}") from None
+        raise InvalidParameter(f"{what} must be rational, got {c!r}") from None
 
 
 class BaireVector:
@@ -551,7 +552,7 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     if p.is_zero:
         raise InvalidParameter("additivity is a p >= 1 identity")
     ys = list(ys)
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_coefficient(c) for c in coeffs]
     if len(ys) != len(coeffs):
         raise InvalidParameter("one coefficient per vector is required")
     if not ys:

@@ -11,10 +11,9 @@ demanded.
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter, within_binary64
+from .errors import InvalidParameter, Record, within_binary64
 
 #: Tolerances of every comparison involving an approximate value: two
 #: floats agree when they are within APPROX_REL_TOL of the larger
@@ -50,11 +49,25 @@ def deleted_first(kind):
     return kind
 
 
-@dataclass(frozen=True)
-class NormValue:
-    power_base: Fraction | None
-    inv_exp: Fraction
-    approx: float
+class NormValue(Record):
+    __slots__ = ("power_base", "inv_exp", "approx")
+
+    def __init__(self, power_base: Fraction | None, inv_exp: Fraction,
+                 approx: float):
+        object.__setattr__(self, "power_base", power_base)
+        object.__setattr__(self, "inv_exp", inv_exp)
+        object.__setattr__(self, "approx", approx)
+
+    # Record's comparison and hash over direct slot reads, which cost
+    # ~100 ns less per call than its attrgetter keys.
+    def __eq__(self, other):
+        if other.__class__ is NormValue:
+            return ((self.power_base, self.inv_exp, self.approx)
+                    == (other.power_base, other.inv_exp, other.approx))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.power_base, self.inv_exp, self.approx))
 
     @classmethod
     @within_binary64

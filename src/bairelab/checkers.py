@@ -10,7 +10,6 @@ lexicographic order and the first violation in that order is reported.
 import itertools
 import math
 import random as _random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .baire import (
@@ -31,6 +30,7 @@ from .errors import (
     FunctionalSetTooLarge,
     InvalidParameter,
     NotInUnitBall,
+    Record,
     TreeMismatch,
     WindowOutOfRange,
 )
@@ -193,8 +193,7 @@ def bs_obstruction_check(family, epsilon):
 MAX_GRID_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class TrialCoeffs:
+class TrialCoeffs(Record):
     """Sampler for the alternating-obstruction falsifier.
 
     Every +-1 pattern is always swept (first coefficient fixed to +1, the
@@ -205,9 +204,13 @@ class TrialCoeffs:
     the tested inequality is invariant under positive scaling.
     """
 
-    grid: tuple = ()
-    random_trials: int = 0
-    seed: int = 0
+    __slots__ = ("grid", "random_trials", "seed")
+
+    def __init__(self, grid: tuple = (), random_trials: int = 0,
+                 seed: int = 0):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "random_trials", random_trials)
+        object.__setattr__(self, "seed", seed)
 
     def describe(self, size):
         parts = [f"sign patterns (2^{size - 1})"]

@@ -10,15 +10,7 @@ overflows fails a precondition.
 import argparse
 import sys
 
-from . import checkers, serialize, trees
-from .baire import (
-    baire_norm_oracle,
-    baire_norm_witness,
-    baire_norm_zero,
-    check_branch_isometry,
-    check_incomparable_additivity,
-    check_root_decomposition,
-)
+from . import serialize
 from .bases import BasisKind
 from .errors import BaireLabError, InvalidParameter, ValidationError
 from .serialize import (
@@ -29,8 +21,6 @@ from .serialize import (
     parse_fraction_list,
     parse_window,
 )
-from .steps import bush_check, rademacher_bush
-from .trees import derived_tree, order_index, probe_wf
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,10 +71,12 @@ def _load_vector(path, tree=None):
 # subcommand handlers
 
 def _cmd_rank(args):
+    from .trees import order_index
     return {"order_index": order_index(_load_tree(args.tree))}
 
 
 def _cmd_derive(args):
+    from .trees import derived_tree
     tree = _load_tree(args.tree)
     if args.times < 0:
         raise InvalidParameter("--times must be nonnegative")
@@ -94,6 +86,7 @@ def _cmd_derive(args):
 
 
 def _cmd_norm(args):
+    from .baire import baire_norm_oracle, baire_norm_witness, baire_norm_zero
     tree = _load_tree(args.tree) if args.tree else None
     x = _load_vector(args.vector, tree=tree)
     if args.p.is_zero:
@@ -112,23 +105,28 @@ def _cmd_gen(args):
     if family == "full-kary":
         if args.k is None or args.d is None:
             raise InvalidParameter("full-kary needs --k and --d")
-        doc = serialize.tree_to_json(trees.full_kary(args.k, args.d))
+        from .trees import full_kary
+        doc = serialize.tree_to_json(full_kary(args.k, args.d))
     elif family == "spine":
         if args.d is None:
             raise InvalidParameter("spine needs --d")
-        doc = serialize.tree_to_json(trees.spine(args.d))
+        from .trees import spine
+        doc = serialize.tree_to_json(spine(args.d))
     elif family == "random":
         if args.n is None:
             raise InvalidParameter("random needs --n")
-        doc = serialize.tree_to_json(trees.random_tree(args.n, args.seed))
+        from .trees import random_tree
+        doc = serialize.tree_to_json(random_tree(args.n, args.seed))
     elif family == "rademacher-bush":
         if args.K is None:
             raise InvalidParameter("rademacher-bush needs --K")
+        from .steps import rademacher_bush
         doc = serialize.bush_to_json(rademacher_bush(args.K))
     else:  # delta-antichain; argparse's choices admit nothing else
         if args.n is None or args.basis is None or args.p is None:
             raise InvalidParameter("delta-antichain needs --n, --basis and --p")
-        fam = checkers.delta_antichain_family(args.n, args.basis, args.p)
+        from .checkers import delta_antichain_family
+        fam = delta_antichain_family(args.n, args.basis, args.p)
         doc = serialize.family_to_json(fam)
     if args.out:
         try:
@@ -140,35 +138,41 @@ def _cmd_gen(args):
 
 
 def _cmd_check_bs(args):
+    from .checkers import bs_obstruction_check
     fam = serialize.family_from_json(load_json_file(args.family))
-    verdict = checkers.bs_obstruction_check(fam, args.epsilon)
+    verdict = bs_obstruction_check(fam, args.epsilon)
     return serialize.verdict_to_json(verdict)
 
 
 def _cmd_check_abs(args):
+    from .checkers import TrialCoeffs, abs_obstruction_falsify
     fam = serialize.family_from_json(load_json_file(args.family))
-    trials = checkers.TrialCoeffs(
+    trials = TrialCoeffs(
         grid=tuple(args.grid) if args.grid else (),
         random_trials=args.random,
         seed=args.seed,
     )
-    verdict = checkers.abs_obstruction_falsify(fam, args.epsilon, trials)
+    verdict = abs_obstruction_falsify(fam, args.epsilon, trials)
     return serialize.verdict_to_json(verdict)
 
 
 def _cmd_check_bush(args):
+    from .steps import bush_check
     bush = serialize.bush_from_json(load_json_file(args.bush))
     verdict = bush_check(bush, args.delta, args.bound)
     return serialize.verdict_to_json(verdict)
 
 
 def _cmd_check_identity(args):
+    from .baire import (check_branch_isometry, check_incomparable_additivity,
+                        check_root_decomposition)
     if args.identity == "additivity":
         if not args.family or args.coeffs is None:
             raise InvalidParameter("additivity needs --family and --coeffs")
         fam = serialize.family_from_json(load_json_file(args.family))
         ctx = fam.context
-        if not isinstance(ctx, checkers.BaireContext):
+        from .checkers import BaireContext
+        if not isinstance(ctx, BaireContext):
             raise InvalidParameter("additivity applies to coefficient families")
         report = check_incomparable_additivity(
             fam.vectors, args.coeffs, ctx.kind, ctx.p
@@ -193,20 +197,21 @@ def _cmd_check_identity(args):
 
 
 def _cmd_probe_wf(args):
+    from .trees import depth_bounded, lazy_from_tree, probe_wf, zeros_branch
     if (args.tree is None) == (args.lazy is None):
         raise InvalidParameter("give exactly one of --tree or --lazy")
     if args.tree:
-        lazy = trees.lazy_from_tree(_load_tree(args.tree), args.budget)
+        lazy = lazy_from_tree(_load_tree(args.tree), args.budget)
     else:
         name = args.lazy
         if name == "zeros-branch":
-            lazy = trees.zeros_branch(args.budget)
+            lazy = zeros_branch(args.budget)
         elif name.startswith("bounded:"):
             try:
                 depth = int(name.split(":", 1)[1])
             except ValueError:
                 raise ValidationError(f"{name!r} needs an integer depth")
-            lazy = trees.depth_bounded(depth, args.budget)
+            lazy = depth_bounded(depth, args.budget)
         else:
             raise InvalidParameter(f"unknown lazy family {name!r}")
     verdict = probe_wf(lazy, args.depth)
@@ -214,8 +219,9 @@ def _cmd_probe_wf(args):
 
 
 def _cmd_block_min(args):
+    from .checkers import convex_block_min
     fam = serialize.family_from_json(load_json_file(args.family))
-    coeffs, value = checkers.convex_block_min(fam, args.window)
+    coeffs, value = convex_block_min(fam, args.window)
     return {
         "coeffs": list(coeffs),
         "value": value,

@@ -1,4 +1,4 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the Record base of the immutable value classes.
 
 Every domain error raised by the library derives from BaireLabError, so
 callers (and the CLI) can distinguish contract violations from genuine
@@ -6,7 +6,47 @@ bugs: BaireLabError maps to exit code 2, anything else to exit code 1.
 """
 
 import functools
+import operator
 import sys
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them in __init__
+    through object.__setattr__.  Its instances then compare, hash and
+    print by those fields, in that order, as a frozen dataclass's do, and
+    refuse assignment and deletion with AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(
+            lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 class BaireLabError(Exception):

@@ -16,12 +16,8 @@ import math
 import re
 from fractions import Fraction
 
-from .baire import BaireVector, ExponentP
 from .bases import BasisKind, NormValue
-from .checkers import BaireContext, StepContext, VectorFamily
 from .errors import ParseError, ValidationError
-from .steps import BushLevels, DyadicStep
-from .trees import make_tree, node_key
 
 
 def format_fraction(q):
@@ -70,6 +66,7 @@ def format_exponent(p):
 
 
 def parse_exponent(text):
+    from .baire import ExponentP
     return ExponentP.of(parse_fraction(text))
 
 
@@ -181,6 +178,7 @@ def _integer(value, what):
 
 
 def tree_from_json(obj):
+    from .trees import make_tree
     nodes = _array(_object(obj, "a tree").get("nodes"), '"nodes"')
     return make_tree([_node_from_json(n) for n in nodes])
 
@@ -194,6 +192,7 @@ def _node_from_json(node):
 
 
 def _entries_to_json(x):
+    from .trees import node_key
     return [
         {"node": list(n), "coef": format_fraction(c)}
         for n, c in sorted(x.coeffs.items(), key=lambda kv: node_key(kv[0]))
@@ -205,6 +204,7 @@ def vector_to_json(x):
 
 
 def vector_from_json(obj, tree=None):
+    from .baire import BaireVector
     _object(obj, "a vector")
     if tree is None:
         tree = tree_from_json(obj.get("tree"))
@@ -262,6 +262,7 @@ def step_to_json(f):
 
 
 def step_from_json(obj):
+    from .steps import DyadicStep
     _object(obj, "a step")
     values = _array(obj.get("values"), '"values"')
     return DyadicStep(_integer(obj.get("resolution"), '"resolution"'),
@@ -276,6 +277,7 @@ def bush_to_json(bush):
 
 
 def bush_from_json(obj):
+    from .steps import BushLevels
     levels = _array(_object(obj, "a bush").get("levels"), '"levels"')
     bush = BushLevels(tuple(
         tuple(step_from_json(f) for f in _array(level, "a bush level"))
@@ -287,6 +289,7 @@ def bush_from_json(obj):
 
 
 def family_to_json(family):
+    from .checkers import StepContext
     ctx = family.context
     if isinstance(ctx, StepContext):
         return {"steps": [step_to_json(f) for f in family.vectors]}
@@ -299,6 +302,8 @@ def family_to_json(family):
 
 
 def family_from_json(obj):
+    from .baire import BaireVector
+    from .checkers import BaireContext, StepContext, VectorFamily
     _object(obj, "a family")
     if "steps" in obj:
         steps = [step_from_json(f) for f in _array(obj["steps"], '"steps"')]

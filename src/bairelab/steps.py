@@ -7,33 +7,31 @@ unchanged, so equality is semantic: two steps are equal when they agree
 at a common refinement.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter, KOutOfRange, ValidationError
+from .errors import InvalidParameter, KOutOfRange, Record, ValidationError
 from .verdicts import Verdict
 
 MAX_RESOLUTION = 20
 
 
-@dataclass(frozen=True)
-class DyadicStep:
-    resolution: int
-    values: tuple
+class DyadicStep(Record):
+    __slots__ = ("resolution", "values")
 
-    def __post_init__(self):
-        if not (0 <= self.resolution <= MAX_RESOLUTION):
+    def __init__(self, resolution: int, values: tuple):
+        if not (0 <= resolution <= MAX_RESOLUTION):
             raise InvalidParameter(
                 f"resolution must lie in [0, {MAX_RESOLUTION}]"
             )
         vals = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.values
+            v if type(v) is Fraction else Fraction(v) for v in values
         )
-        if len(vals) != 2**self.resolution:
+        if len(vals) != 2**resolution:
             raise ValidationError(
-                f"resolution {self.resolution} requires {2**self.resolution} "
+                f"resolution {resolution} requires {2**resolution} "
                 f"values, got {len(vals)}"
             )
+        object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "values", vals)
 
     def refine(self, resolution):
@@ -103,14 +101,13 @@ def l1_norm(f):
     return sum((abs(v) for v in f.values), Fraction(0)) * width
 
 
-@dataclass(frozen=True)
-class BushLevels:
+class BushLevels(Record):
     """A finite stack of dyadic-indexed levels: level k holds 2**k steps."""
 
-    levels: tuple
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        lv = tuple(tuple(level) for level in self.levels)
+    def __init__(self, levels: tuple):
+        lv = tuple(tuple(level) for level in levels)
         if len(lv) < 2:
             raise ValidationError("a bush needs levels 0..K with K >= 1")
         for k, level in enumerate(lv):

@@ -5,7 +5,7 @@ machine-checkable witness; Inconclusive records what was tested, because
 a finite search cannot refute a universally quantified statement.
 """
 
-from dataclasses import dataclass
+from .errors import Record
 
 
 PASS = "pass"
@@ -13,11 +13,14 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: dict | None = None
-    tested: str | None = None
+class Verdict(Record):
+    __slots__ = ("status", "witness", "tested")
+
+    def __init__(self, status: str, witness: dict | None = None,
+                 tested: str | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "tested", tested)
 
     @classmethod
     def passed(cls, witness=None, tested=None):
@@ -44,15 +47,18 @@ class Verdict:
         return self.status == INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of an exact-identity check, with both sides of the identity.
 
     lhs and rhs are p-th-power values: Fractions in exact mode, floats
     otherwise.  `exact` records which comparison was used.
     """
 
-    passed: bool
-    lhs: object
-    rhs: object
-    exact: bool
+    __slots__ = ("passed", "lhs", "rhs", "exact")
+
+    def __init__(self, passed: bool, lhs: object, rhs: object,
+                 exact: bool):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "exact", exact)

@@ -186,13 +186,18 @@ def test_vector_rejects_foreign_nodes():
 
 
 def test_non_rational_coefficients_raise_invalid_parameter():
-    # a bool is an int and NaN and inf are floats, but none is rational
-    x = delta(FORK, (0,))
-    for c in (True, float("nan"), float("inf")):
+    # a bool is an int and NaN and inf are floats, but none is rational;
+    # the exponent is read by the same rule (True would read as p = 1)
+    x, y = delta(FORK, (0,)), delta(FORK, (1,))
+    for c in (True, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameter, match="must be rational"):
             BaireVector(FORK, {(1,): c})
         with pytest.raises(InvalidParameter, match="must be rational"):
             linear_combination([(c, x)])
+        with pytest.raises(InvalidParameter, match="must be rational"):
+            check_incomparable_additivity([x, y], [c, 1], L1, 2)
+        with pytest.raises(InvalidParameter, match="must be rational"):
+            ExponentP.of(c)
 
 
 def test_segment_vector_examples():

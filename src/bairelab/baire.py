@@ -43,6 +43,7 @@ from .errors import (
     SupportsNotIncomparable,
     TooLargeForOracle,
     TreeMismatch,
+    rational,
     within_binary64,
 )
 from .trees import (
@@ -71,7 +72,7 @@ class ExponentP(Record):
 
     @classmethod
     def of(cls, p):
-        p = _coefficient(p, "the exponent")
+        p = rational(p, "the exponent")
         if p == 0:
             return P_ZERO
         if p < 1:
@@ -104,17 +105,6 @@ def exact_mode(kind, p):
     return p.value == 2
 
 
-def _coefficient(c, what="coefficients"):
-    """c as a Fraction; a bool or a non-finite float raises
-    InvalidParameter instead of being coerced or failing bare."""
-    if isinstance(c, bool):
-        raise InvalidParameter(f"{what} must be rational, got {c!r}")
-    try:
-        return Fraction(c)
-    except (ValueError, OverflowError):
-        raise InvalidParameter(f"{what} must be rational, got {c!r}") from None
-
-
 class BaireVector:
     """A finitely supported rational coefficient assignment on a tree.
 
@@ -132,7 +122,7 @@ class BaireVector:
             node = tuple(node)
             if node not in tree:
                 raise InvalidParameter(f"coefficient node {node} not in tree")
-            c = c if type(c) is Fraction else _coefficient(c)
+            c = c if type(c) is Fraction else rational(c)
             if c:
                 clean[node] = c
         self.tree = tree
@@ -210,7 +200,7 @@ def linear_combination(pairs):
     for a, x in pairs:
         if x.tree != tree:
             raise TreeMismatch("vectors live on different trees")
-        a = a if type(a) is Fraction else _coefficient(a)
+        a = a if type(a) is Fraction else rational(a)
         dx, ints = x.scaled()
         terms.append((a.numerator, a.denominator * dx, ints))
     d = math.lcm(*(den for _, den, _ in terms))
@@ -552,7 +542,7 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     if p.is_zero:
         raise InvalidParameter("additivity is a p >= 1 identity")
     ys = list(ys)
-    coeffs = [_coefficient(c) for c in coeffs]
+    coeffs = [rational(c) for c in coeffs]
     if len(ys) != len(coeffs):
         raise InvalidParameter("one coefficient per vector is required")
     if not ys:

@@ -12,7 +12,12 @@ import sys
 
 from . import serialize
 from .bases import BasisKind
-from .errors import BaireLabError, InvalidParameter, ValidationError
+from .errors import (
+    BaireLabError,
+    InvalidParameter,
+    KOutOfRange,
+    ValidationError,
+)
 from .serialize import (
     dumps_canonical,
     load_json_file,
@@ -50,6 +55,18 @@ _exponent = _arg(parse_exponent)
 _basis = _arg(BasisKind.from_tag)
 _coeff_list = _arg(parse_fraction_list)
 _window = _arg(parse_window)
+
+#: Largest bush K that `gen` writes and `check-bush` reads.  The JSON
+#: layout is dense: a K = 10 file holds 1.4 million values and takes
+#: seconds each way, and every further level multiplies that by four.
+MAX_CLI_BUSH_K = 10
+
+
+def _check_cli_bush_k(K):
+    if K > MAX_CLI_BUSH_K:
+        raise KOutOfRange(
+            f"the command line carries bushes up to K = {MAX_CLI_BUSH_K}, "
+            f"got {K}")
 
 
 def _load_tree(path):
@@ -120,6 +137,7 @@ def _cmd_gen(args):
     elif family == "rademacher-bush":
         if args.K is None:
             raise InvalidParameter("rademacher-bush needs --K")
+        _check_cli_bush_k(args.K)
         from .steps import rademacher_bush
         doc = serialize.bush_to_json(rademacher_bush(args.K))
     else:  # delta-antichain; argparse's choices admit nothing else
@@ -158,7 +176,11 @@ def _cmd_check_abs(args):
 
 def _cmd_check_bush(args):
     from .steps import bush_check
-    bush = serialize.bush_from_json(load_json_file(args.bush))
+    obj = load_json_file(args.bush)
+    levels = obj.get("levels") if isinstance(obj, dict) else None
+    if isinstance(levels, list):
+        _check_cli_bush_k(len(levels) - 1)
+    bush = serialize.bush_from_json(obj)
     verdict = bush_check(bush, args.delta, args.bound)
     return serialize.verdict_to_json(verdict)
 

@@ -8,6 +8,7 @@ bugs: BaireLabError maps to exit code 2, anything else to exit code 1.
 import functools
 import operator
 import sys
+from fractions import Fraction
 
 
 class Record:
@@ -64,6 +65,17 @@ class PrefixClosureViolation(BaireLabError):
 
 class InvalidParameter(BaireLabError):
     pass
+
+
+def rational(c, what="coefficients"):
+    """c as a Fraction; a bool or a non-finite float raises
+    InvalidParameter instead of being coerced or failing bare."""
+    if isinstance(c, bool):
+        raise InvalidParameter(f"{what} must be rational, got {c!r}")
+    try:
+        return Fraction(c)
+    except (ValueError, OverflowError):
+        raise InvalidParameter(f"{what} must be rational, got {c!r}") from None
 
 
 def within_binary64(func):

@@ -5,89 +5,144 @@ A step function of resolution k is constant on each of the 2**k cells
 [(i)2^-k, (i+1)2^-k).  Refining a function leaves every functional below
 unchanged, so equality is semantic: two steps are equal when they agree
 at a common refinement.
+
+A step keeps only its non-zero cells, as a map {cell index: value}, and
+every operation below is index arithmetic on those maps: its cost
+follows the non-zero cells at the common resolution, not the 2**k cells.
 """
 
 from fractions import Fraction
 
-from .errors import InvalidParameter, KOutOfRange, Record, ValidationError
+from .errors import (
+    InvalidParameter,
+    KOutOfRange,
+    Record,
+    ValidationError,
+    rational,
+)
 from .verdicts import Verdict
 
 MAX_RESOLUTION = 20
+_ZERO = Fraction(0)
 
 
-class DyadicStep(Record):
+def _check_resolution(resolution):
+    if not (0 <= resolution <= MAX_RESOLUTION):
+        raise InvalidParameter(
+            f"resolution must lie in [0, {MAX_RESOLUTION}]"
+        )
+
+
+def _value(v, what="step values"):
+    return v if type(v) is Fraction else rational(v, what)
+
+
+class _CellMap(Record):
+    """The slot holding a step's non-zero cells, outside its fields."""
+
+    __slots__ = ("_cells",)
+
+
+class DyadicStep(_CellMap):
+    """A step function: `values` is the dense tuple of its 2**resolution
+    cell values, built on its first read and kept in its slot."""
+
     __slots__ = ("resolution", "values")
 
     def __init__(self, resolution: int, values: tuple):
-        if not (0 <= resolution <= MAX_RESOLUTION):
-            raise InvalidParameter(
-                f"resolution must lie in [0, {MAX_RESOLUTION}]"
-            )
-        vals = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in values
-        )
-        if len(vals) != 2**resolution:
+        _check_resolution(resolution)
+        values = tuple(values)
+        if len(values) != 2**resolution:
             raise ValidationError(
                 f"resolution {resolution} requires {2**resolution} "
-                f"values, got {len(vals)}"
+                f"values, got {len(values)}"
             )
         object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_cells", {
+            i: v for i, v in enumerate(map(_value, values)) if v})
+
+    @classmethod
+    def _of(cls, resolution, cells):
+        """The step with the given map of non-zero Fraction cells."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "resolution", resolution)
+        object.__setattr__(step, "_cells", cells)
+        return step
+
+    def __getattr__(self, name):
+        if name != "values":
+            raise AttributeError(
+                f"{type(self).__qualname__!r} object has no attribute {name!r}"
+            )
+        values = [_ZERO] * 2**self.resolution
+        for i, v in self._cells.items():
+            values[i] = v
+        values = tuple(values)
+        object.__setattr__(self, "values", values)
+        return values
 
     def refine(self, resolution):
         if resolution < self.resolution:
             raise InvalidParameter("cannot refine to a coarser resolution")
-        times = 2 ** (resolution - self.resolution)
-        return DyadicStep(
-            resolution, tuple(v for v in self.values for _ in range(times))
-        )
+        _check_resolution(resolution)
+        shift = resolution - self.resolution
+        return DyadicStep._of(resolution, {
+            j: v for i, v in self._cells.items()
+            for j in range(i << shift, (i + 1) << shift)})
 
     def canonical(self):
         """Coarsest representation of the same function."""
-        values = self.values
+        cells = self._cells
         res = self.resolution
-        while res > 0 and all(
-            values[2 * i] == values[2 * i + 1] for i in range(len(values) // 2)
-        ):
-            values = values[::2]
+        while res > 0 and all(cells.get(i ^ 1) == v for i, v in cells.items()):
+            cells = {i >> 1: v for i, v in cells.items() if not i & 1}
             res -= 1
-        return DyadicStep(res, values)
+        return DyadicStep._of(res, cells)
 
     def __eq__(self, other):
         if not isinstance(other, DyadicStep):
             return NotImplemented
-        if self.resolution == other.resolution:
-            return self.values == other.values
-        r = max(self.resolution, other.resolution)
-        return self.refine(r).values == other.refine(r).values
+        if self.resolution != other.resolution:
+            self, other = self.canonical(), other.canonical()
+        return (self.resolution == other.resolution
+                and self._cells == other._cells)
 
     def __hash__(self):
+        # the hash of the canonical fields, as a record's hash is of its
+        # fields: only the coarsest form's dense tuple is built
         c = self.canonical()
         return hash((c.resolution, c.values))
 
 
 def constant_step(c, resolution=0):
-    return DyadicStep(resolution, (Fraction(c),) * 2**resolution)
+    _check_resolution(resolution)
+    c = _value(c)
+    return DyadicStep._of(
+        resolution, dict.fromkeys(range(2**resolution), c) if c else {})
 
 
 def cell_indicator(k, l, height=1):
     """height * 1 on the l-th dyadic cell of resolution k, l = 1..2**k."""
+    _check_resolution(k)
     if not (1 <= l <= 2**k):
         raise InvalidParameter(f"cell index {l} out of range for resolution {k}")
-    values = [Fraction(0)] * 2**k
-    values[l - 1] = Fraction(height)
-    return DyadicStep(k, tuple(values))
+    height = _value(height)
+    return DyadicStep._of(k, {l - 1: height} if height else {})
 
 
 def step_linear_combination(pairs):
     """Pointwise sum of a*f over the (a, f) pairs at the common
     refinement; the zero step when there are no pairs."""
-    pairs = [(Fraction(a), f) for a, f in pairs]
+    pairs = [(_value(a, "step coefficients"), f) for a, f in pairs]
     r = max((f.resolution for _, f in pairs), default=0)
-    acc = [Fraction(0)] * 2**r
+    acc = {}
     for a, f in pairs:
-        acc = [c + a * v for c, v in zip(acc, f.refine(r).values)]
-    return DyadicStep(r, tuple(acc))
+        shift = r - f.resolution
+        for i, v in f._cells.items():
+            av = a * v
+            for j in range(i << shift, (i + 1) << shift):
+                acc[j] = acc[j] + av if j in acc else av
+    return DyadicStep._of(r, {i: v for i, v in acc.items() if v})
 
 
 def step_combine(a, f, b, g):
@@ -98,7 +153,7 @@ def step_combine(a, f, b, g):
 def l1_norm(f):
     """Exact integral of |f| over [0,1)."""
     width = Fraction(1, 2**f.resolution)
-    return sum((abs(v) for v in f.values), Fraction(0)) * width
+    return sum((abs(v) for v in f._cells.values()), _ZERO) * width
 
 
 class BushLevels(Record):
@@ -139,8 +194,9 @@ def rademacher_bush(K):
         raise KOutOfRange(f"K must lie in [1, 16], got {K}")
     levels = []
     for k in range(K + 1):
+        height = Fraction(2**k)
         levels.append(
-            tuple(cell_indicator(k, l, height=2**k) for l in range(1, 2**k + 1))
+            tuple(cell_indicator(k, l, height) for l in range(1, 2**k + 1))
         )
     return BushLevels(tuple(levels))
 

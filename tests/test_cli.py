@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -384,6 +385,40 @@ def test_bush_reader_is_strict(capsys, tmp_path, bush):
         capsys, "check-bush", "--bush", path, "--delta", "1/2", "--bound", "1"
     )
     _assert_validation_exit(code, out, err)
+
+
+# SHA-256 of `gen --family rademacher-bush --K 10`'s file, recorded when
+# every step stored all of its cells
+BUSH_K10_DIGEST = (
+    "437334d73c0be6915ce6ab6ba4c3ba9a31dca6652aeb00936b1fe2a411836638"
+)
+
+
+def test_bush_commands_at_the_cli_k_bound(capsys, tmp_path):
+    target = tmp_path / "bush.json"
+    code, out, _ = run_cli(capsys, "gen", "--family", "rademacher-bush",
+                           "--K", "10", "--out", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == BUSH_K10_DIGEST
+    code, out, _ = run_cli(capsys, "check-bush", "--bush", str(target),
+                           "--delta", "1/2", "--bound", "1")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
+def test_bush_commands_refuse_k_past_the_cli_bound(capsys, tmp_path):
+    target = tmp_path / "bush.json"
+    code, out, err = run_cli(capsys, "gen", "--family", "rademacher-bush",
+                             "--K", "11", "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert json.loads(err)["error"] == "KOutOfRange"
+    # eleven levels past level 0, none of them a valid level: the level
+    # count is refused before any step is read
+    path = write_text(tmp_path, "big.json",
+                      json.dumps({"K": 11, "levels": [["junk"]] * 12}))
+    code, out, err = run_cli(capsys, "check-bush", "--bush", path,
+                             "--delta", "1/2", "--bound", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "KOutOfRange"
 
 
 FAMILY_TREE = '"tree": {"nodes": [[], [0], [1]]}'

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from bairelab import (
     step_combine,
 )
 from bairelab.errors import InvalidParameter, KOutOfRange, ValidationError
+from bairelab.steps import MAX_RESOLUTION, step_linear_combination
 
 F = Fraction
 
@@ -206,3 +209,141 @@ def test_step_mixer_outputs_are_pinned_bit_for_bit():
     for out in _step_mixer_outputs():
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == STEP_MIXERS_DIGEST
+
+
+def test_out_of_range_resolutions_are_refused_before_building():
+    with pytest.raises(InvalidParameter):
+        cell_indicator(64, 1)
+    with pytest.raises(InvalidParameter):
+        constant_step(1, 64)
+    with pytest.raises(InvalidParameter):
+        DyadicStep(0, (1,)).refine(30)
+    with pytest.raises(InvalidParameter):
+        DyadicStep(0, (1,)).refine(MAX_RESOLUTION + 1)
+    top = cell_indicator(MAX_RESOLUTION, 2**MAX_RESOLUTION)
+    assert l1_norm(top.refine(MAX_RESOLUTION)) == F(1, 2**MAX_RESOLUTION)
+
+
+@pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, -math.inf],
+                         ids=["true", "false", "nan", "inf", "-inf"])
+def test_step_values_and_coefficients_are_strict(bad):
+    with pytest.raises(InvalidParameter):
+        DyadicStep(0, (bad,))
+    with pytest.raises(InvalidParameter):
+        DyadicStep(1, (1, bad))
+    with pytest.raises(InvalidParameter):
+        constant_step(bad)
+    with pytest.raises(InvalidParameter):
+        cell_indicator(1, 1, height=bad)
+    with pytest.raises(InvalidParameter):
+        step_linear_combination([(bad, constant_step(1))])
+    with pytest.raises(InvalidParameter):
+        step_combine(1, constant_step(1), bad, constant_step(1))
+    assert DyadicStep(0, (0.5,)) == constant_step(F(1, 2))
+
+
+# A dense reference, with the formulas of the layout that stored every
+# cell: a step is (resolution, tuple of its 2**resolution values).
+
+def dense_refine(step, resolution):
+    res, values = step
+    times = 2 ** (resolution - res)
+    return tuple(v for v in values for _ in range(times))
+
+
+def dense_combination(pairs):
+    r = max((res for _, (res, _) in pairs), default=0)
+    acc = [F(0)] * 2**r
+    for a, step in pairs:
+        acc = [c + F(a) * v for c, v in zip(acc, dense_refine(step, r))]
+    return r, tuple(acc)
+
+
+def dense_canonical(step):
+    res, values = step
+    while res > 0 and all(
+        values[2 * i] == values[2 * i + 1] for i in range(len(values) // 2)
+    ):
+        values = values[::2]
+        res -= 1
+    return res, values
+
+
+def dense_equal(f, g):
+    r = max(f[0], g[0])
+    return dense_refine(f, r) == dense_refine(g, r)
+
+
+def dense_l1(step):
+    res, values = step
+    return sum((abs(v) for v in values), F(0)) * F(1, 2**res)
+
+
+# mostly zero cells, so sparse maps, coarsenings and equal refinements
+# all occur
+cell_values = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.sampled_from((F(1), F(-1), F(1, 2))),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+dense_steps = st.integers(0, 4).flatmap(lambda r: st.tuples(
+    st.just(r),
+    st.lists(cell_values, min_size=2**r, max_size=2**r).map(tuple)))
+step_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def assert_matches_dense(step, dense):
+    assert (step.resolution, step.values) == dense
+    assert l1_norm(step) == dense_l1(dense)
+    canonical = step.canonical()
+    assert (canonical.resolution, canonical.values) == dense_canonical(dense)
+    assert hash(step) == hash(dense_canonical(dense))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(step_coefficients, dense_steps), max_size=4),
+       st.booleans())
+def test_sparse_combination_matches_the_dense_reference(terms, cancel):
+    if cancel:
+        # every term meets its negative: the sum is the zero step
+        terms = terms + [(-a, f) for a, f in terms]
+    got = step_linear_combination([(a, DyadicStep(*f)) for a, f in terms])
+    want = dense_combination(terms)
+    assert_matches_dense(got, want)
+    if cancel:
+        assert got == constant_step(0) and l1_norm(got) == 0
+    for a, f in terms:
+        assert (DyadicStep(*f) == got) == dense_equal(f, want)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(dense_steps, st.integers(0, 3), st.integers(0, 2**7 - 1),
+       cell_values)
+def test_sparse_refine_and_equality_match_the_dense_reference(
+        f, extra, cell, value):
+    step = DyadicStep(*f)
+    assert_matches_dense(step, f)
+    r = f[0] + extra
+    refined = dense_refine(f, r)
+    assert_matches_dense(step.refine(r), (r, refined))
+    assert step == step.refine(r) and hash(step) == hash(step.refine(r))
+    # one cell of the refinement changed, maybe to the value it had
+    cell %= 2**r
+    g = (r, refined[:cell] + (value,) + refined[cell + 1:])
+    assert (step == DyadicStep(*g)) == dense_equal(f, g)
+    assert (DyadicStep(*g) == step) == dense_equal(f, g)
+    if dense_equal(f, g):
+        assert hash(step) == hash(DyadicStep(*g))
+
+
+def test_sparse_zero_steps():
+    zero = DyadicStep(3, (0,) * 8)
+    assert zero == constant_step(0) == cell_indicator(5, 7, height=0)
+    assert zero.canonical().resolution == 0
+    assert l1_norm(zero) == 0 and hash(zero) == hash((0, (F(0),)))
+    assert step_linear_combination([]) == zero
+    assert step_linear_combination([]).values == (F(0),)
+
+
+def test_bush_check_at_k12_runs_in_under_two_cpu_seconds():
+    start = time.process_time()
+    assert bush_check(rademacher_bush(12), F(1, 2), 1).is_pass
+    assert time.process_time() - start < 2

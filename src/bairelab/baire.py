@@ -160,9 +160,12 @@ class BaireVector:
         return f"BaireVector({items!r})"
 
     def support_closure(self):
-        """Prefix closure of the support, as a FiniteTree."""
+        """Prefix closure of the support, as a FiniteTree: the tree itself
+        when the support is all of it, so its order and compiled form are
+        shared."""
         if self._closure is None:
-            self._closure = prefix_closure(self._coeffs)
+            self._closure = (self.tree if len(self._coeffs) == len(self.tree)
+                             else prefix_closure(self._coeffs))
         return self._closure
 
     def scaled(self):

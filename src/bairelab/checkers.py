@@ -45,6 +45,11 @@ MAX_FUNCTIONALS = 10**5
 #: Largest support closure whose segment families are enumerated (p >= 1).
 MAX_FAMILY_NODES = 20
 
+#: Most cells of the common resolution the step LP is built over: its
+#: 2 * cells rows by cells + w columns take ~3.5 s at 64 cells and w = 8,
+#: and about 7x that per further level.
+MAX_STEP_LP_CELLS = 2**6
+
 #: Hard cap on exhaustive obstruction checking.
 MAX_OBSTRUCTION_FAMILY = 10
 
@@ -406,6 +411,11 @@ def _lp_min_norm_steps(steps):
     w = len(steps)
     res = max(f.resolution for f in steps)
     cells = 2**res
+    if cells > MAX_STEP_LP_CELLS:
+        raise FunctionalSetTooLarge(
+            f"steps of resolution {res}: the step LP is capped at "
+            f"{MAX_STEP_LP_CELLS} cells"
+        )
     width = Fraction(1, cells)
     refined = [f.refine(res).values for f in steps]
     # variables: a_0..a_{w-1}, u_0..u_{cells-1}; minimize width * sum(u)

@@ -21,7 +21,8 @@ from .errors import ParseError, ValidationError
 
 
 def format_fraction(q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -90,39 +91,51 @@ def parse_window(text):
 # ---------------------------------------------------------------------------
 # canonical emitter
 
+#: json.dumps(s, ensure_ascii=True)'s own C encoder for a string.
+_quote = json.encoder.encode_basestring_ascii
+
+#: The plain JSON types; an instance of a subclass is written as its base.
+_PLAIN = (bool, int, float, str, list, tuple, dict)
+
+
 def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
+    kind = type(obj)
+    if kind not in _PLAIN and obj is not None:
+        kind = next((t for t in _PLAIN if isinstance(obj, t)), None)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
         out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValidationError("non-finite float in output")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
+    elif kind is list or kind is tuple:
+        # a list of plain ints or of plain strings is written in one join
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            out.append("[" + ",".join(map(str, obj)) + "]")
+        elif kinds == {str}:
+            out.append("[" + ",".join(map(_quote, obj)) + "]")
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",")
+                _emit(item, out)
+            out.append("]")
+    elif kind is dict:
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise ValidationError("object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
+            out.append(("," if i else "") + _quote(key) + ":")
             _emit(obj[key], out)
         out.append("}")
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is float:
+        if not math.isfinite(obj):
+            raise ValidationError("non-finite float in output")
+        out.append(format(obj, ".17g"))
     else:
         plain = jsonable(obj)
         if plain is obj:
@@ -186,7 +199,7 @@ def tree_from_json(obj):
 def _node_from_json(node):
     """A node from its JSON array; floats and booleans are rejected, not
     coerced (bool is an int subclass, so true would read as 1)."""
-    if not isinstance(node, list) or any(type(v) is not int for v in node):
+    if not isinstance(node, list) or not set(map(type, node)) <= {int}:
         raise ValidationError(f"a node must be an array of integers, got {node!r}")
     return tuple(node)
 
@@ -221,7 +234,8 @@ def _coeffs_from_entries(entries):
                 f'an entry must be an object with "node" and "coef", got {e!r}'
             )
         node = _node_from_json(e["node"])
-        coeffs[node] = coeffs.get(node, Fraction(0)) + parse_fraction(e["coef"])
+        c = parse_fraction(e["coef"])
+        coeffs[node] = coeffs[node] + c if node in coeffs else c
     return coeffs
 
 
@@ -255,10 +269,11 @@ def verdict_to_json(v):
 
 
 def step_to_json(f):
-    return {
-        "resolution": f.resolution,
-        "values": [format_fraction(v) for v in f.values],
-    }
+    """The dense layout, filled from the step's non-zero cells."""
+    values = ["0"] * 2**f.resolution
+    for i, v in f.cells().items():
+        values[i] = format_fraction(v)
+    return {"resolution": f.resolution, "values": values}
 
 
 def step_from_json(obj):

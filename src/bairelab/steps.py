@@ -11,7 +11,9 @@ every operation below is index arithmetic on those maps: its cost
 follows the non-zero cells at the common resolution, not the 2**k cells.
 """
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     InvalidParameter,
@@ -80,6 +82,10 @@ class DyadicStep(_CellMap):
         values = tuple(values)
         object.__setattr__(self, "values", values)
         return values
+
+    def cells(self):
+        """The non-zero cells, as a read-only map {cell index: value}."""
+        return MappingProxyType(self._cells)
 
     def refine(self, resolution):
         if resolution < self.resolution:
@@ -151,9 +157,12 @@ def step_combine(a, f, b, g):
 
 
 def l1_norm(f):
-    """Exact integral of |f| over [0,1)."""
-    width = Fraction(1, 2**f.resolution)
-    return sum((abs(v) for v in f._cells.values()), _ZERO) * width
+    """Exact integral of |f| over [0,1): the cells' integer numerators
+    summed over the lcm of their denominators."""
+    cells = f._cells.values()
+    d = math.lcm(*(v.denominator for v in cells))
+    total = sum(abs(v.numerator) * (d // v.denominator) for v in cells)
+    return Fraction(total, d << f.resolution)
 
 
 class BushLevels(Record):

@@ -17,9 +17,12 @@ from .errors import (
 )
 
 # Overflow contract: entries and depths beyond these bounds are rejected
-# outright instead of silently degrading.
+# outright instead of silently degrading.  A chain's node list holds
+# ~depth^2 / 2 entries, so depth sets the cost of every layer: at 2^12 a
+# spine's `gen` and `norm` on its full-support vector take seconds and
+# ~200 MB each, and every doubling multiplies that by four.
 MAX_ENTRY = 2**32 - 1
-MAX_DEPTH = 2**16
+MAX_DEPTH = 2**12
 
 
 def node_key(node):
@@ -29,6 +32,11 @@ def node_key(node):
 
 def check_node(node):
     node = tuple(node)
+    # one pass over plain int entries in range; anything else takes the
+    # per-entry loop below, which names the first offending entry
+    if (len(node) <= MAX_DEPTH and set(map(type, node)) <= {int}
+            and (not node or (min(node) >= 0 and max(node) <= MAX_ENTRY))):
+        return node
     if len(node) > MAX_DEPTH:
         raise InvalidParameter(f"node depth {len(node)} exceeds {MAX_DEPTH}")
     for e in node:
@@ -64,10 +72,19 @@ class FiniteTree:
             ns = frozenset(tuple(n) for n in nodes)
         else:
             ns = frozenset(check_node(n) for n in nodes)
+            # every prefix walked so far is present, and so are its own
+            # prefixes unless this walk raises: a node's walk from its
+            # longest prefix down stops at the first one already walked,
+            # and the first absent prefix it meets is still its longest
+            closed = set()
             for n in ns:
                 for i in range(len(n) - 1, -1, -1):
-                    if n[:i] not in ns:
-                        raise PrefixClosureViolation(n, n[:i])
+                    prefix = n[:i]
+                    if prefix in closed:
+                        break
+                    if prefix not in ns:
+                        raise PrefixClosureViolation(n, prefix)
+                    closed.add(prefix)
         self._nodes = ns
         self._sorted = tuple(sorted(ns, key=node_key))
         self._compiled = None
@@ -256,12 +273,19 @@ def segments_incomparable(seg1, seg2):
 # ---------------------------------------------------------------------------
 # generators
 
+def _check_depth(name, d):
+    """Refuse a generator depth outside [0, MAX_DEPTH] before building."""
+    if d < 0:
+        raise InvalidParameter(f"{name} requires d >= 0")
+    if d > MAX_DEPTH:
+        raise InvalidParameter(f"{name} depth {d} exceeds {MAX_DEPTH}")
+
+
 def full_kary(k, d):
     """The full k-ary tree of depth d."""
     if k < 1:
         raise InvalidParameter("full_kary requires k >= 1")
-    if d < 0:
-        raise InvalidParameter("full_kary requires d >= 0")
+    _check_depth("full_kary", d)
     nodes = [()]
     frontier = [()]
     for _ in range(d):
@@ -272,8 +296,7 @@ def full_kary(k, d):
 
 def spine(d):
     """The chain of length d: nodes (0,)*i for i = 0..d."""
-    if d < 0:
-        raise InvalidParameter("spine requires d >= 0")
+    _check_depth("spine", d)
     return FiniteTree([(0,) * i for i in range(d + 1)], _validated=True)
 
 

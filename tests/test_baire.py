@@ -180,6 +180,22 @@ def test_linear_combination_scaled_matches_its_coefficients():
                             (0, BaireVector(spine(1), {}))])
 
 
+def test_full_support_closure_is_the_tree_itself():
+    tree = random_tree(30, 4)
+    full = BaireVector(tree, {n: i + 1 for i, n in enumerate(tree)})
+    assert full.support_closure() is tree
+    assert baire_norm(full, L1, 2) == baire_norm(
+        BaireVector(prefix_closure(tree.nodes), dict(full.coeffs)), L1, 2)
+    deepest = max(tree, key=len)
+    partial = BaireVector(tree, {deepest: 1})
+    assert partial.support_closure() is not tree
+    assert partial.support_closure() == prefix_closure([deepest])
+    # a zero coefficient is dropped, so that support is partial too
+    almost = BaireVector(tree, {**full.coeffs, deepest: 0})
+    assert almost.support_closure() == prefix_closure(almost.support)
+    assert len(almost.support_closure()) < len(tree)
+
+
 def test_vector_rejects_foreign_nodes():
     with pytest.raises(InvalidParameter):
         BaireVector(FORK, {(2,): 1})

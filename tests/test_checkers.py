@@ -278,6 +278,20 @@ def test_convex_block_min_step_family():
     assert list(coeffs) == [F(1, 2), F(1, 2)]
 
 
+def test_step_lp_is_refused_before_it_is_built():
+    res = checkers.MAX_STEP_LP_CELLS.bit_length() - 1
+    at_bound = VectorFamily([cell_indicator(res, 1, 2**res),
+                             cell_indicator(0, 1)], StepContext())
+    assert convex_block_min(at_bound, (0, 1))[1].power_base == 1
+    for r in (res + 1, 20):
+        fam = VectorFamily([cell_indicator(r, 1, 2**r), cell_indicator(0, 1)],
+                           StepContext())
+        start = time.process_time()
+        with pytest.raises(FunctionalSetTooLarge):
+            convex_block_min(fam, (0, 1))
+        assert time.process_time() - start < 0.5
+
+
 def test_convex_block_min_subgradient_mode():
     fam = delta_antichain_family(4, L2, 2)
     coeffs, value = convex_block_min(fam, (0, 3))

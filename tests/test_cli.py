@@ -405,6 +405,38 @@ def test_bush_commands_at_the_cli_k_bound(capsys, tmp_path):
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
+def test_gen_depth_limit_holds(capsys, tmp_path):
+    from bairelab.trees import MAX_DEPTH
+    target = tmp_path / "spine.json"
+    code, _, _ = run_cli(capsys, "gen", "--family", "spine",
+                         "--d", str(MAX_DEPTH), "--out", str(target))
+    assert code == 0
+    assert len(json.loads(target.read_text())["nodes"]) == MAX_DEPTH + 1
+    for argv in (("--family", "spine", "--d", str(MAX_DEPTH + 1)),
+                 ("--family", "full-kary", "--k", "1",
+                  "--d", str(MAX_DEPTH + 1))):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidParameter"
+
+
+def test_block_min_refuses_the_step_lp_past_its_cell_bound(
+        capsys, tmp_path):
+    from bairelab.checkers import MAX_STEP_LP_CELLS
+    res = MAX_STEP_LP_CELLS.bit_length() - 1
+    for r, want in ((res, 0), (res + 1, 2)):
+        cells = ["0"] * 2**r
+        cells[0] = str(2**r)
+        fam = write(tmp_path, "steps.json", {"steps": [
+            {"resolution": r, "values": cells},
+            {"resolution": 0, "values": ["1"]}]})
+        code, out, err = run_cli(capsys, "block-min", "--family", fam,
+                                 "--window", "0,1")
+        assert code == want
+        if want:
+            assert json.loads(err)["error"] == "FunctionalSetTooLarge"
+
+
 def test_bush_commands_refuse_k_past_the_cli_bound(capsys, tmp_path):
     target = tmp_path / "bush.json"
     code, out, err = run_cli(capsys, "gen", "--family", "rademacher-bush",

@@ -5,12 +5,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bairelab import (
     BaireContext,
     BaireVector,
     BasisKind,
     BushLevels,
+    DyadicStep,
     NormValue,
     P_ZERO,
     Segment,
@@ -154,6 +157,44 @@ def test_dumps_canonical_formatting():
     assert text == '{"a":"1/3","b":1.25,"c":[true,null,"x"]}'
     assert dumps_canonical(1 / 3) == "0.33333333333333331"
     assert json.loads(dumps_canonical({"x": 1 / 3}))["x"] == pytest.approx(1 / 3)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_texts = (st.text()
+          | st.text(alphabet=st.characters(max_codepoint=0x1F))
+          | st.text(alphabet='"\\/\x7f\u00e9\u2028\u2603\U0001d11e'))
+_scalars = (st.none() | st.booleans() | st.integers() | _texts
+            | st.builds(_Int, st.integers()) | st.builds(_Str, _texts))
+_plain_documents = st.recursive(
+    _scalars | st.lists(st.integers()) | st.lists(_texts)
+    | st.lists(st.integers()).map(tuple) | st.lists(_texts).map(tuple),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_texts | st.builds(_Str, _texts), inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_plain_documents)
+def test_dumps_canonical_is_json_dumps_on_float_free_documents(doc):
+    assert dumps_canonical(doc) == json.dumps(
+        doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_step_writer_fills_the_dense_layout_from_the_cells():
+    rng = seeded_rng(1409)
+    for r in range(7):
+        values = tuple(rng.choice((0, 0, 0, F(1, 3), -2, F(-7, 4)))
+                       for _ in range(2**r))
+        assert step_to_json(DyadicStep(r, values)) == {
+            "resolution": r, "values": [format_fraction(v) for v in values]}
 
 
 def test_dumps_canonical_is_deterministic():

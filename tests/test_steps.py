@@ -343,6 +343,16 @@ def test_sparse_zero_steps():
     assert step_linear_combination([]).values == (F(0),)
 
 
+def test_l1_norm_is_the_plain_fraction_sum():
+    rng = random.Random(2207)
+    for r in range(9):
+        for _ in range(5):
+            values = [F(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12, 1024)))
+                      if rng.random() < 0.6 else F(0) for _ in range(2**r)]
+            want = sum((abs(v) for v in values), F(0)) / 2**r
+            assert l1_norm(DyadicStep(r, tuple(values))) == want
+
+
 def test_bush_check_at_k12_runs_in_under_two_cpu_seconds():
     start = time.process_time()
     assert bush_check(rademacher_bush(12), F(1, 2), 1).is_pass

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from bairelab.errors import (
     PrefixClosureViolation,
 )
 from bairelab.trees import BRANCH_CANDIDATE, depth_bounded, zeros_branch
+from bairelab.trees import MAX_DEPTH, check_node
 
 from util import canonical_shapes, derived_oracle, random_subtree, seeded_rng
 
@@ -97,6 +99,47 @@ def test_make_tree_diagnostics_are_pinned():
             closed += 1
     assert closed == 0
     assert digest.hexdigest() == MAKE_TREE_DIAGNOSTICS_DIGEST
+
+
+def test_make_tree_is_linear_on_a_chain():
+    nodes = list(spine(2000))
+    start = time.process_time()
+    assert make_tree(nodes) == spine(2000)
+    assert time.process_time() - start < 2.0
+
+
+def _definitional_violation(nodes):
+    """The first node in set order lacking a prefix, with its longest
+    missing prefix, found by checking every prefix of every node."""
+    ns = frozenset(nodes)
+    for n in ns:
+        for i in range(len(n) - 1, -1, -1):
+            if n[:i] not in ns:
+                return n, n[:i]
+    return None
+
+
+def test_deep_chain_gap_matches_the_definitional_rule():
+    for gap in (1, 1000, 1500):
+        chain = [(3,) * i for i in range(2001) if i != gap]
+        for nodes in (chain, chain[::-1]):
+            with pytest.raises(PrefixClosureViolation) as exc:
+                make_tree(nodes)
+            assert ((exc.value.node, exc.value.missing_prefix)
+                    == _definitional_violation(nodes))
+            assert exc.value.missing_prefix == (3,) * gap
+
+
+def test_depth_limit_holds_at_the_bound():
+    assert len(check_node((0,) * MAX_DEPTH)) == MAX_DEPTH
+    assert len(spine(MAX_DEPTH)) == MAX_DEPTH + 1
+    assert len(full_kary(1, MAX_DEPTH)) == MAX_DEPTH + 1
+    for build in (lambda: check_node((0,) * (MAX_DEPTH + 1)),
+                  lambda: spine(MAX_DEPTH + 1),
+                  lambda: full_kary(1, MAX_DEPTH + 1),
+                  lambda: full_kary(2, MAX_DEPTH + 1)):
+        with pytest.raises(InvalidParameter, match="exceeds"):
+            build()
 
 
 def test_make_tree_collapses_duplicates():

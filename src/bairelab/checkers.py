@@ -301,114 +301,108 @@ def _functional_budget(count):
 
 
 def _functional_supports(closure, kind, p):
-    """Node sets over which sign patterns generate the polyhedral norm."""
+    """Node sets over which sign patterns generate the polyhedral norm.
+
+    Each set U weighs 2 ** |U| sign patterns, and their sum is counted
+    exactly before any set is built."""
+    l1 = kind is BasisKind.L1
     if p.is_zero:
-        # counted before any support is built: the sup ingredient reads
-        # one node, 2 sign patterns per node; the summable one reads the
-        # chain (a, v), 2 ** (|v| - |a| + 1) patterns, which sum over the
-        # |v| + 1 start nodes a to 2 ** (|v| + 2) - 2 per node v
+        # the sup ingredient reads one node, 2 sign patterns per node; the
+        # summable one reads the chain (a, v), 2 ** (|v| - |a| + 1)
+        # patterns, which sum over the |v| + 1 start nodes a to
+        # 2 ** (|v| + 2) - 2 per node v
         _functional_budget(
             sum(2 ** (len(v) + 2) - 2 for v in closure)
-            if kind is BasisKind.L1 else 2 * len(closure)
+            if l1 else 2 * len(closure)
         )
-    elif len(closure) > MAX_FAMILY_NODES:
+        if not l1:
+            return [(v,) for v in closure]
+        return sorted(tuple(v[:i] for i in range(j, len(v) + 1))
+                      for v in closure for j in range(len(v) + 1))
+    if len(closure) > MAX_FAMILY_NODES:
         raise FunctionalSetTooLarge(
             f"support closure of {len(closure)} nodes: the segment-family "
             f"enumeration is capped at {MAX_FAMILY_NODES} closure nodes"
         )
-    elif kind is not BasisKind.L1:
-        # counted before any family is built: an antichain support A below
-        # weighs 2 ** |A|.  With the empty one weighing 1, the antichains of
-        # v's subtree, {v} or a union of one per child subtree, weigh
-        # W(v) = 2 + prod W(child) in all
-        order, _, kids = closure.compiled()
-        weight = [0] * len(order)
-        for i in range(len(order) - 1, -1, -1):
-            weight[i] = 2 + math.prod(weight[c] for c in kids[i])
-        _functional_budget(weight[0] - 1 if order else 0)
-    if kind is BasisKind.L1:
-        if p.is_zero:
-            families = [((a, v),) for v in closure
-                        for a in (v[:i] for i in range(len(v) + 1))]
-        else:
-            families = _segment_families(closure)
-        supports = set()
-        for fam in families:
-            if not fam:
-                continue
-            nodes = []
-            for a, v in fam:
-                nodes.extend(v[:i] for i in range(len(a), len(v) + 1))
-            supports.add(tuple(sorted(set(nodes), key=node_key)))
-        supports = sorted(supports)
-    elif p.is_zero:
-        supports = [(v,) for v in closure]
-    else:
-        # the sup ingredient reads one node per segment: the antichains
-        # of start nodes of the nonempty families
-        supports = sorted({
-            tuple(sorted((a for a, _ in fam), key=node_key))
-            for fam in _segment_families(closure) if fam
-        })
-    _functional_budget(sum(2 ** len(u) for u in supports))
-    return supports
+    # a family of v's subtree, the empty one weighing 1, either has one
+    # segment from v, whose supports weigh own(v) in all, or is a union of
+    # one per child subtree: G(v) = own(v) + prod G(child).  The sup
+    # ingredient reads the start nodes, so own = 2.  The summable one
+    # reads the segments' nodes, whose union gives back the family (its
+    # minimal nodes are the start nodes), so own(v) sums 2 ** (|u| - |v|
+    # + 1) over the nodes u below v: own(v) = 2 + 2 * sum own(child)
+    order, _, kids = closure.compiled()
+    own, weight = [2] * len(order), [0] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        if l1:
+            own[i] += 2 * sum(own[c] for c in kids[i])
+        weight[i] = own[i] + math.prod(weight[c] for c in kids[i])
+    _functional_budget(weight[0] - 1 if order else 0)
+    families = [fam for fam in _segment_families(closure) if fam]
+    if not l1:
+        return sorted({tuple(sorted((a for a, _ in fam), key=node_key))
+                       for fam in families})
+    return sorted(
+        tuple(sorted((v[:i] for a, v in fam
+                      for i in range(len(a), len(v) + 1)), key=node_key))
+        for fam in families
+    )
 
 
 def _maximal_supports(supports):
     # u >= 0 makes a support row redundant whenever a superset row exists
     sets = [frozenset(u) for u in supports]
-    keep = []
-    for i, u in enumerate(sets):
-        if not any(u < sets[j] for j in range(len(sets)) if j != i):
-            keep.append(supports[i])
-    return keep
+    return [u for u, s in zip(supports, sets) if not any(s < t for t in sets)]
+
+
+def _lp_min_norm(w, columns, tail_cost, tail_rows=()):
+    """Exact LP for a norm-minimal convex combination of w vectors.
+
+    Variables: the weights a_0..a_{w-1} (sum a = 1), one auxiliary u_j per
+    coordinate with u_j >= |sum_i a_i columns[j][i]|, then any further
+    variables.  tail_cost is the objective over u and those; tail_rows
+    are further rows over them, each <= 0.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    tail = len(tail_cost)
+    a_ub = []
+    for j, col in enumerate(columns):
+        for sign in (1, -1):
+            row = [sign * x for x in col] + [zero] * tail
+            row[w + j] = -one
+            a_ub.append(row)
+    a_ub += [[zero] * w + row for row in tail_rows]
+    value, sol = solve_lp([zero] * w + tail_cost, a_ub, [zero] * len(a_ub),
+                          [[one] * w + [zero] * tail], [one])
+    return tuple(sol[:w]), NormValue.exact(value, 1)
 
 
 def _lp_min_norm_baire(vectors, kind, p):
-    """Exact LP for the polyhedral contexts.
+    """The polyhedral contexts' LP.
 
     The signed generating functionals factor through per-node absolute
     values: with auxiliaries u_s >= |y(s)| the norm is the maximum of
     sum_{s in U} u_s over the admissible node sets U, so the sign
-    expansion never has to be materialized.  Inclusion-maximal U suffice
+    expansion never has to be materialized.  A last variable t bounds
+    every such sum and is minimized.  Inclusion-maximal U suffice
     because the auxiliaries are nonnegative.
     """
-    w = len(vectors)
-    support = set()
-    for v in vectors:
-        support |= v.support
-    closure = prefix_closure(support)
+    closure = prefix_closure(set().union(*(v.support for v in vectors)))
     nodes, index, _ = closure.compiled()
-    supports = _maximal_supports(_functional_supports(closure, kind, p))
     n = len(nodes)
-    zero = Fraction(0)
-    # variables: a_0..a_{w-1}, u_0..u_{n-1}, t
-    width = w + n + 1
-    c = [zero] * (w + n) + [Fraction(1)]
-    a_eq = [[Fraction(1)] * w + [zero] * (n + 1)]
-    b_eq = [Fraction(1)]
-    a_ub = []
-    b_ub = []
-    for s, j in index.items():
-        coords = [v[s] for v in vectors]
-        for sign in (1, -1):
-            row = [sign * cv for cv in coords] + [zero] * (n + 1)
-            row[w + j] = Fraction(-1)
-            a_ub.append(row)
-            b_ub.append(zero)
-    for u_set in supports:
-        row = [zero] * width
+    rows = []
+    for u_set in _maximal_supports(_functional_supports(closure, kind, p)):
+        row = [Fraction(0)] * n + [Fraction(-1)]
         for s in u_set:
-            row[w + index[s]] = Fraction(1)
-        row[-1] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(zero)
-    value, sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    return tuple(sol[:w]), NormValue.exact(value, 1)
+            row[index[s]] = Fraction(1)
+        rows.append(row)
+    return _lp_min_norm(len(vectors), [[v[s] for v in vectors] for s in nodes],
+                        [Fraction(0)] * n + [Fraction(1)], rows)
 
 
 def _lp_min_norm_steps(steps):
-    w = len(steps)
+    """The step LP: minimize the mean of the u's over the cells of the
+    common resolution."""
     res = max(f.resolution for f in steps)
     cells = 2**res
     if cells > MAX_STEP_LP_CELLS:
@@ -416,24 +410,9 @@ def _lp_min_norm_steps(steps):
             f"steps of resolution {res}: the step LP is capped at "
             f"{MAX_STEP_LP_CELLS} cells"
         )
-    width = Fraction(1, cells)
     refined = [f.refine(res).values for f in steps]
-    # variables: a_0..a_{w-1}, u_0..u_{cells-1}; minimize width * sum(u)
-    c = [Fraction(0)] * w + [width] * cells
-    a_eq = [[Fraction(1)] * w + [Fraction(0)] * cells]
-    b_eq = [Fraction(1)]
-    a_ub = []
-    b_ub = []
-    for cell in range(cells):
-        for sign in (1, -1):
-            row = [sign * refined[i][cell] for i in range(w)]
-            row += [
-                Fraction(-1) if j == cell else Fraction(0) for j in range(cells)
-            ]
-            a_ub.append(row)
-            b_ub.append(Fraction(0))
-    value, sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    return tuple(sol[:w]), NormValue.exact(value, 1)
+    return _lp_min_norm(len(steps), list(zip(*refined)),
+                        [Fraction(1, cells)] * cells)
 
 
 def _project_simplex(v):
@@ -467,10 +446,9 @@ def _float_subgradient(vectors, a, context):
     grad = [0.0] * len(a)
     for seg in family:
         block = [float(c) for c in segment_vector(combo, seg)]
-        bn = _block_norm_float(block, kind)
+        bn, g = _block_float(block, kind)
         if bn == 0.0:
             continue
-        g = _block_subgradient(block, kind)
         for i, x in enumerate(vectors):
             inner = sum(
                 gi * float(ci) for gi, ci in zip(g, segment_vector(x, seg))
@@ -480,24 +458,18 @@ def _float_subgradient(vectors, a, context):
     return f, [scale * gi for gi in grad]
 
 
-def _block_norm_float(block, kind):
+def _block_float(block, kind):
+    """The block's norm and a subgradient of the norm there."""
     if kind is BasisKind.L1:
-        return sum(abs(b) for b in block)
-    if kind is BasisKind.L2:
-        return math.sqrt(sum(b * b for b in block))
-    return max((abs(b) for b in block), default=0.0)
-
-
-def _block_subgradient(block, kind):
-    if kind is BasisKind.L1:
-        return [1.0 if b > 0 else (-1.0 if b < 0 else 0.0) for b in block]
+        return (sum(abs(b) for b in block),
+                [1.0 if b > 0 else (-1.0 if b < 0 else 0.0) for b in block])
     if kind is BasisKind.L2:
         nrm = math.sqrt(sum(b * b for b in block))
-        return [b / nrm for b in block] if nrm else [0.0] * len(block)
+        return nrm, [b / nrm for b in block] if nrm else [0.0] * len(block)
     top = max(range(len(block)), key=lambda i: abs(block[i]))
     g = [0.0] * len(block)
     g[top] = 1.0 if block[top] >= 0 else -1.0
-    return g
+    return abs(block[top]), g
 
 
 SUBGRADIENT_ITERATIONS = 400

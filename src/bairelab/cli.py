@@ -123,36 +123,29 @@ def _cmd_gen(args):
         if args.k is None or args.d is None:
             raise InvalidParameter("full-kary needs --k and --d")
         from .trees import full_kary
-        doc = serialize.tree_to_json(full_kary(args.k, args.d))
+        return serialize.tree_to_json(full_kary(args.k, args.d))
     elif family == "spine":
         if args.d is None:
             raise InvalidParameter("spine needs --d")
         from .trees import spine
-        doc = serialize.tree_to_json(spine(args.d))
+        return serialize.tree_to_json(spine(args.d))
     elif family == "random":
         if args.n is None:
             raise InvalidParameter("random needs --n")
         from .trees import random_tree
-        doc = serialize.tree_to_json(random_tree(args.n, args.seed))
+        return serialize.tree_to_json(random_tree(args.n, args.seed))
     elif family == "rademacher-bush":
         if args.K is None:
             raise InvalidParameter("rademacher-bush needs --K")
         _check_cli_bush_k(args.K)
         from .steps import rademacher_bush
-        doc = serialize.bush_to_json(rademacher_bush(args.K))
+        return serialize.bush_to_json(rademacher_bush(args.K))
     else:  # delta-antichain; argparse's choices admit nothing else
         if args.n is None or args.basis is None or args.p is None:
             raise InvalidParameter("delta-antichain needs --n, --basis and --p")
         from .checkers import delta_antichain_family
         fam = delta_antichain_family(args.n, args.basis, args.p)
-        doc = serialize.family_to_json(fam)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dumps_canonical(doc) + "\n")
-        except OSError as exc:
-            raise InvalidParameter(f"cannot write --out {args.out}: {exc}")
-    return doc
+        return serialize.family_to_json(fam)
 
 
 def _cmd_check_bs(args):
@@ -343,8 +336,15 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        doc = args.func(args)
-        sys.stdout.write(dumps_canonical(doc) + "\n")
+        text = dumps_canonical(args.func(args)) + "\n"
+        out = getattr(args, "out", None)  # gen writes the same text here
+        if out:
+            try:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InvalidParameter(f"cannot write --out {out}: {exc}")
+        sys.stdout.write(text)
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

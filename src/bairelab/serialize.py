@@ -57,7 +57,7 @@ def parse_fraction(text):
                 f"{MAX_DECIMAL_EXPONENT} in magnitude"
             )
     try:
-        return Fraction(text.strip())
+        return Fraction(int(text) if text.isdecimal() else text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {text!r}: {exc}")
 

@@ -222,24 +222,48 @@ def test_functional_bound_is_the_exact_count_for_p_zero():
 
 
 def test_c0_functional_count_precedes_the_family_enumeration(monkeypatch):
-    # the count is the sum of 2 ** |A| over the antichain supports, and a
-    # count past the bound refuses before any family is enumerated
+    # the count is the sum of 2 ** |U| over the supports (antichains in
+    # c0, segment unions in l1), and a count past the bound refuses
+    # before any family is enumerated
     p = ExponentP.of(1)
-    for nodes in canonical_shapes(7):
-        closure = make_tree(nodes)
-        total = sum(2 ** len(u) for u in _functional_supports(closure, C0, p))
-        with monkeypatch.context() as m:
-            m.setattr(checkers, "MAX_FUNCTIONALS", total - 1)
-            m.setattr(checkers, "_segment_families",
-                      lambda _: pytest.fail("families enumerated"))
-            with pytest.raises(FunctionalSetTooLarge,
-                               match=f"^{total} generating functionals"):
-                _functional_supports(closure, C0, p)
+    for kind in (C0, L1):
+        for nodes in canonical_shapes(7):
+            closure = make_tree(nodes)
+            total = sum(2 ** len(u)
+                        for u in _functional_supports(closure, kind, p))
+            with monkeypatch.context() as m:
+                m.setattr(checkers, "MAX_FUNCTIONALS", total - 1)
+                m.setattr(checkers, "_segment_families",
+                          lambda _: pytest.fail("families enumerated"))
+                with pytest.raises(FunctionalSetTooLarge,
+                                   match=f"^{total} generating functionals"):
+                    _functional_supports(closure, kind, p)
     start = time.perf_counter()
     with pytest.raises(FunctionalSetTooLarge, match="^1162261468 generating "
                        "functionals exceed the bound 100000$"):
         convex_block_min(delta_antichain_family(19, C0, 1), (0, 18))
     assert time.perf_counter() - start < 1.0
+
+
+def test_l1_functional_count_refuses_before_the_family_enumeration():
+    # 19 leaves under a root: 3 ** 19 families below the root, each leaf
+    # alone or not, plus the root's 20 segments
+    start = time.perf_counter()
+    with pytest.raises(FunctionalSetTooLarge, match="^1162261544 generating "
+                       "functionals exceed the bound 100000$"):
+        convex_block_min(delta_antichain_family(19, L1, 1), (0, 18))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_convex_block_min_of_zero_vectors():
+    # the support closure is empty, so the LP has no coordinate at all
+    tree = prefix_closure([(0,), (1,)])
+    for kind in (L1, C0):
+        for p in (P_ZERO, 1):
+            fam = VectorFamily([BaireVector(tree, {})] * 2,
+                               BaireContext(kind, p))
+            coeffs, value = convex_block_min(fam, (0, 1))
+            assert coeffs == (1, 0) and value.power_base == 0
 
 
 def test_convex_block_min_matches_grid_oracle():

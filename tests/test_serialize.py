@@ -82,6 +82,21 @@ def test_fraction_strings():
             parse_fraction(text)
 
 
+def test_digit_strings_parse_as_fraction_strings_do():
+    # a digit string skips Fraction's string parser; its value or error
+    # message is the one that parser gives, at the int() digit cap too
+    for text in ("0", "0007", "\u0663", "\u0661\u0662", "\u00b2",
+                 "9" * 4300, "9" * 4301):
+        try:
+            expected = F(text.strip())
+        except ValueError as exc:
+            with pytest.raises(ValidationError) as err:
+                parse_fraction(text)
+            assert str(err.value) == f"bad rational {text!r}: {exc}"
+        else:
+            assert parse_fraction(text) == expected
+
+
 def test_exponent_strings():
     assert parse_exponent("0") is P_ZERO
     assert parse_exponent("2").value == 2

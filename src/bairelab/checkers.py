@@ -20,7 +20,6 @@ from .baire import (
     baire_norm_zero,
     linear_combination,
     segment_vector,
-    _segment_families,
 )
 from .bases import BasisKind, NormValue
 from .errors import (
@@ -36,14 +35,8 @@ from .errors import (
 )
 from .simplex import solve_lp
 from .steps import l1_norm, step_linear_combination
-from .trees import node_key, prefix_closure
+from .trees import prefix_closure
 from .verdicts import Verdict
-
-#: Documented bound on the generating-functional enumeration.
-MAX_FUNCTIONALS = 10**5
-
-#: Largest support closure whose segment families are enumerated (p >= 1).
-MAX_FAMILY_NODES = 20
 
 #: Most cells of the common resolution the step LP is built over: its
 #: 2 * cells rows by cells + w columns take ~3.5 s at 64 cells and w = 8,
@@ -227,29 +220,43 @@ class TrialCoeffs(Record):
             )
         return ", ".join(parts)
 
+    def _samples(self, size):
+        """The nonzero grid and random vectors, in sweep order."""
+        values = tuple(Fraction(g) for g in self.grid)
+        grid = (itertools.product(values, repeat=size)
+                if len(values) ** size <= MAX_GRID_POINTS else ())
+        rng = _random.Random(self.seed)
+        trials = (tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for _ in range(size))
+                  for _ in range(self.random_trials))
+        return [c for c in itertools.chain(grid, trials) if any(c)]
+
     def vectors(self, size):
-        out = [(Fraction(1),) + tuple(Fraction(s) for s in tail)
-               for tail in itertools.product((1, -1), repeat=size - 1)]
-        if self.grid:
-            values = tuple(Fraction(g) for g in self.grid)
-            if len(values) ** size <= MAX_GRID_POINTS:
-                for c in itertools.product(values, repeat=size):
-                    if any(v != 0 for v in c):
-                        out.append(c)
-        if self.random_trials:
-            rng = _random.Random(self.seed)
-            for _ in range(self.random_trials):
-                c = tuple(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for _ in range(size)
-                )
-                if any(v != 0 for v in c):
-                    out.append(c)
+        signs = ((Fraction(1),) + tuple(Fraction(s) for s in tail)
+                 for tail in itertools.product((1, -1), repeat=size - 1))
         rays = {}
-        for c in out:
-            scale = sum(map(abs, c))
-            rays.setdefault(tuple(v / scale for v in c), c)
+        for c in itertools.chain(signs, self._samples(size)):
+            rays.setdefault(_ray(c), c)
         return list(rays.values())
+
+    def count(self, size):
+        """len(self.vectors(size)), without building its 2^(size - 1) sign
+        patterns: a sample lies on a sign pattern's ray exactly when its
+        first entry is positive and all its entries share one absolute
+        value."""
+        return 2 ** (size - 1) + len({
+            _ray(c) for c in self._samples(size)
+            if not (c[0] > 0 and len(set(map(abs, c))) == 1)})
+
+
+def _ray(c):
+    scale = sum(map(abs, c))
+    return tuple(v / scale for v in c)
+
+
+#: Most candidates (index tuple, coefficient vector) the alternating
+#: falsifier tests: ~10 s at ~100 us each (l1 p = 1 antichains).
+MAX_ABS_CANDIDATES = 10**5
 
 
 def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
@@ -259,7 +266,9 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     least ell - 1 (0-based), and sampled coefficients c with
     ||sum c_i x_i|| < epsilon * sum |c_i|.  A semi-decision: the bound
     quantifies over all real coefficients, so no finite sweep can return
-    Pass; the outcome is Violated or Inconclusive.
+    Pass; the outcome is Violated or Inconclusive.  The candidates,
+    sum over ell of C(n - ell + 1, 2**ell) * len(trials.vectors(2**ell)),
+    are counted first, and more than MAX_ABS_CANDIDATES are refused.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -267,9 +276,16 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     n = len(family)
     if n < 2:
         raise FamilyTooSmall("need at least two vectors")
+    ells = [ell for ell in range(1, n.bit_length() + 1)
+            if (ell - 1) + 2**ell <= n]
+    total = sum(math.comb(n - ell + 1, 2**ell) * trials.count(2**ell)
+                for ell in ells)
+    if total > MAX_ABS_CANDIDATES:
+        raise FamilyTooLarge(
+            f"{total} candidates exceed the bound {MAX_ABS_CANDIDATES}"
+        )
     tested = []
-    ell = 1
-    while (ell - 1) + 2**ell <= n:
+    for ell in ells:
         size = 2**ell
         # each sampled vector with its bound epsilon * sum |c_i|
         coeff_vectors = [(c, epsilon * sum(abs(v) for v in c))
@@ -286,123 +302,15 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
                         lhs=lhs,
                         rhs=rhs,
                     )
-        ell += 1
     return Verdict.inconclusive("; ".join(tested))
 
 
 # ---------------------------------------------------------------------------
 # convex block minimization
 
-def _functional_budget(count):
-    if count > MAX_FUNCTIONALS:
-        raise FunctionalSetTooLarge(
-            f"{count} generating functionals exceed the bound {MAX_FUNCTIONALS}"
-        )
-
-
-def _functional_supports(closure, kind, p):
-    """Node sets over which sign patterns generate the polyhedral norm.
-
-    Each set U weighs 2 ** |U| sign patterns, and their sum is counted
-    exactly before any set is built."""
-    l1 = kind is BasisKind.L1
-    if p.is_zero:
-        # the sup ingredient reads one node, 2 sign patterns per node; the
-        # summable one reads the chain (a, v), 2 ** (|v| - |a| + 1)
-        # patterns, which sum over the |v| + 1 start nodes a to
-        # 2 ** (|v| + 2) - 2 per node v
-        _functional_budget(
-            sum(2 ** (len(v) + 2) - 2 for v in closure)
-            if l1 else 2 * len(closure)
-        )
-        if not l1:
-            return [(v,) for v in closure]
-        return sorted(tuple(v[:i] for i in range(j, len(v) + 1))
-                      for v in closure for j in range(len(v) + 1))
-    if len(closure) > MAX_FAMILY_NODES:
-        raise FunctionalSetTooLarge(
-            f"support closure of {len(closure)} nodes: the segment-family "
-            f"enumeration is capped at {MAX_FAMILY_NODES} closure nodes"
-        )
-    # a family of v's subtree, the empty one weighing 1, either has one
-    # segment from v, whose supports weigh own(v) in all, or is a union of
-    # one per child subtree: G(v) = own(v) + prod G(child).  The sup
-    # ingredient reads the start nodes, so own = 2.  The summable one
-    # reads the segments' nodes, whose union gives back the family (its
-    # minimal nodes are the start nodes), so own(v) sums 2 ** (|u| - |v|
-    # + 1) over the nodes u below v: own(v) = 2 + 2 * sum own(child)
-    order, _, kids = closure.compiled()
-    own, weight = [2] * len(order), [0] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        if l1:
-            own[i] += 2 * sum(own[c] for c in kids[i])
-        weight[i] = own[i] + math.prod(weight[c] for c in kids[i])
-    _functional_budget(weight[0] - 1 if order else 0)
-    families = [fam for fam in _segment_families(closure) if fam]
-    if not l1:
-        return sorted({tuple(sorted((a for a, _ in fam), key=node_key))
-                       for fam in families})
-    return sorted(
-        tuple(sorted((v[:i] for a, v in fam
-                      for i in range(len(a), len(v) + 1)), key=node_key))
-        for fam in families
-    )
-
-
-def _maximal_supports(supports):
-    # u >= 0 makes a support row redundant whenever a superset row exists
-    sets = [frozenset(u) for u in supports]
-    return [u for u, s in zip(supports, sets) if not any(s < t for t in sets)]
-
-
-def _lp_min_norm(w, columns, tail_cost, tail_rows=()):
-    """Exact LP for a norm-minimal convex combination of w vectors.
-
-    Variables: the weights a_0..a_{w-1} (sum a = 1), one auxiliary u_j per
-    coordinate with u_j >= |sum_i a_i columns[j][i]|, then any further
-    variables.  tail_cost is the objective over u and those; tail_rows
-    are further rows over them, each <= 0.
-    """
-    zero, one = Fraction(0), Fraction(1)
-    tail = len(tail_cost)
-    a_ub = []
-    for j, col in enumerate(columns):
-        for sign in (1, -1):
-            row = [sign * x for x in col] + [zero] * tail
-            row[w + j] = -one
-            a_ub.append(row)
-    a_ub += [[zero] * w + row for row in tail_rows]
-    value, sol = solve_lp([zero] * w + tail_cost, a_ub, [zero] * len(a_ub),
-                          [[one] * w + [zero] * tail], [one])
-    return tuple(sol[:w]), NormValue.exact(value, 1)
-
-
-def _lp_min_norm_baire(vectors, kind, p):
-    """The polyhedral contexts' LP.
-
-    The signed generating functionals factor through per-node absolute
-    values: with auxiliaries u_s >= |y(s)| the norm is the maximum of
-    sum_{s in U} u_s over the admissible node sets U, so the sign
-    expansion never has to be materialized.  A last variable t bounds
-    every such sum and is minimized.  Inclusion-maximal U suffice
-    because the auxiliaries are nonnegative.
-    """
-    closure = prefix_closure(set().union(*(v.support for v in vectors)))
-    nodes, index, _ = closure.compiled()
-    n = len(nodes)
-    rows = []
-    for u_set in _maximal_supports(_functional_supports(closure, kind, p)):
-        row = [Fraction(0)] * n + [Fraction(-1)]
-        for s in u_set:
-            row[index[s]] = Fraction(1)
-        rows.append(row)
-    return _lp_min_norm(len(vectors), [[v[s] for v in vectors] for s in nodes],
-                        [Fraction(0)] * n + [Fraction(1)], rows)
-
-
 def _lp_min_norm_steps(steps):
-    """The step LP: minimize the mean of the u's over the cells of the
-    common resolution."""
+    """The step LP: with u_j >= |sum_i a_i f_i(j)| for every cell j of the
+    common resolution and sum a = 1, minimize the mean of the u's."""
     res = max(f.resolution for f in steps)
     cells = 2**res
     if cells > MAX_STEP_LP_CELLS:
@@ -410,9 +318,79 @@ def _lp_min_norm_steps(steps):
             f"steps of resolution {res}: the step LP is capped at "
             f"{MAX_STEP_LP_CELLS} cells"
         )
-    refined = [f.refine(res).values for f in steps]
-    return _lp_min_norm(len(steps), list(zip(*refined)),
-                        [Fraction(1, cells)] * cells)
+    w = len(steps)
+    zero, one = Fraction(0), Fraction(1)
+    a_ub = []
+    for j, col in enumerate(zip(*(f.refine(res).values for f in steps))):
+        for sign in (1, -1):
+            row = [sign * x for x in col] + [zero] * cells
+            row[w + j] = -one
+            a_ub.append(row)
+    value, sol = solve_lp([zero] * w + [Fraction(1, cells)] * cells, a_ub,
+                          [zero] * len(a_ub), [[one] * w + [zero] * cells],
+                          [one])
+    return tuple(sol[:w]), NormValue.exact(value, 1)
+
+
+def _witness_family(combo, kind, p):
+    """The norm of combo and the DP's attaining family: for p = 0 its one
+    segment, or none for the zero vector."""
+    if p.is_zero:
+        nv, seg = baire_norm_zero(combo, kind, with_witness=True)
+        return nv, () if seg is None else (seg,)
+    return baire_norm_witness(combo, kind, p)
+
+
+def _attaining_cut(combo, vectors, kind, p):
+    """The exact norm of combo, and the cut row of a signed generating
+    functional attaining it there.
+
+    The functional reads the DP's witness family: every node of each
+    segment in l1, each segment's largest-|coefficient| node in c0, each
+    with the sign of combo's coefficient (a node where combo vanishes is
+    left out, which still bounds the norm).  Over the weights a and the
+    bound t its row is sum_i a_i phi(vectors[i]) - t <= 0."""
+    nv, family = _witness_family(combo, kind, p)
+    signs = {}
+    for seg in family:
+        nodes = seg.nodes()
+        if kind is BasisKind.C0:
+            nodes = (max(nodes, key=lambda s: abs(combo[s])),)
+        for s in nodes:
+            if combo[s]:
+                signs[s] = 1 if combo[s] > 0 else -1
+    row = [sum(sign * x[s] for s, sign in signs.items()) for x in vectors]
+    return nv.power_base, row + [Fraction(-1)]
+
+
+def _lp_min_norm_baire(vectors, kind, p):
+    """The polyhedral contexts, by Kelley's cutting planes.
+
+    Each norm is the maximum of finitely many signed generating
+    functionals, so it is the least t with sum_i a_i phi(x_i) <= t for
+    every one of them.  The LP over a and t keeps the functionals met so
+    far: seeded with the ones attaining the norm at the uniform mean and
+    at each vector, it is solved, and the exact norm at its weights
+    either is at most its value, which is then the minimum, or comes
+    with a violated functional, which is added.  Ties: the uniform
+    (Cesaro) mean when it attains the minimum, else the last LP's
+    vertex."""
+    w = len(vectors)
+    zero, one = Fraction(0), Fraction(1)
+    uniform = (Fraction(1, w),) * w
+    at_uniform, cut = _attaining_cut(linear_combination(zip(uniform, vectors)),
+                                     vectors, kind, p)
+    rows = [cut] + [_attaining_cut(x, vectors, kind, p)[1] for x in vectors]
+    while True:
+        t, sol = solve_lp([zero] * w + [one], rows, [zero] * len(rows),
+                          [[one] * w + [zero]], [one])
+        a = tuple(sol[:w])
+        value, cut = _attaining_cut(linear_combination(zip(a, vectors)),
+                                    vectors, kind, p)
+        if value <= t:
+            break
+        rows.append(cut)
+    return uniform if at_uniform == t else a, NormValue.exact(t, 1)
 
 
 def _project_simplex(v):
@@ -432,14 +410,9 @@ def _float_subgradient(vectors, a, context):
     combo = linear_combination(
         [(Fraction(ai).limit_denominator(10**12), x) for ai, x in zip(a, vectors)]
     )
-    if p.is_zero:
-        # one segment aggregated with exponent 1
-        nv, seg = baire_norm_zero(combo, kind, with_witness=True)
-        family = (seg,) if seg is not None else ()
-        pf = 1.0
-    else:
-        nv, family = baire_norm_witness(combo, kind, p)
-        pf = float(p.value)
+    nv, family = _witness_family(combo, kind, p)
+    # p = 0 aggregates its one segment with exponent 1
+    pf = 1.0 if p.is_zero else float(p.value)
     f = nv.approx
     if f == 0.0 or not family:
         return f, [0.0] * len(a)
@@ -482,10 +455,14 @@ def convex_block_min(family, window):
     inclusive, length + 1 of them, and returns one coefficient each.
 
     Polyhedral contexts (summable or sup ingredient with p in {1, 0}, and
-    dyadic-step families) are solved exactly by a rational simplex over
-    the enumerated generating functionals; other contexts run projected
-    subgradient descent (400 iterations, roughly 1e-6 on benign
-    instances) and return an approximate value.
+    dyadic-step families) are solved exactly by a rational simplex: by
+    cutting planes over the generating functionals, whose ties go to the
+    uniform (Cesaro) mean when it attains the minimum, else to the last
+    LP's vertex; steps by one LP over their cells.  Other contexts run
+    400 projected-subgradient steps and return the approximate norm of
+    the returned weights' combination (each weight read within 1e-12):
+    an upper bound on the minimum, not a certified one, which can lie
+    well above it.
     """
     start, length = window
     n = len(family)
@@ -520,6 +497,10 @@ def weak_null_probe(family, epsilon):
     block's "length" is its vector count.  Pass carries the witnessing
     blocks; a finite prefix can never refute weak nullity, so the
     alternative is Inconclusive.
+
+    Cost: one convex_block_min per block tried, at most the sum of
+    ceil(n / len) over len = 1..n, n = len(family); a length stops at its
+    first block that is not below epsilon.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:

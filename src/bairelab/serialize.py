@@ -276,12 +276,24 @@ def step_to_json(f):
     return {"resolution": f.resolution, "values": values}
 
 
-def step_from_json(obj):
-    from .steps import DyadicStep
+def step_from_json(obj, parsed=None):
+    """A step from its JSON form.  parsed maps the value strings read so
+    far in the document to their Fractions; it keeps strings only, since
+    True and 1.0 equal 1 as dict keys and must still be refused."""
+    from .steps import DyadicStep, _check_resolution
     _object(obj, "a step")
     values = _array(obj.get("values"), '"values"')
-    return DyadicStep(_integer(obj.get("resolution"), '"resolution"'),
-                      tuple(parse_fraction(v) for v in values))
+    resolution = _integer(obj.get("resolution"), '"resolution"')
+    parsed = {} if parsed is None else parsed
+    cells = {}
+    for i, v in enumerate(values):
+        f = parsed.get(v) if type(v) is str else parse_fraction(v)
+        if f is None:
+            f = parsed[v] = parse_fraction(v)
+        if f:
+            cells[i] = f
+    _check_resolution(resolution, len(values))
+    return DyadicStep._of(resolution, cells)
 
 
 def bush_to_json(bush):
@@ -294,8 +306,9 @@ def bush_to_json(bush):
 def bush_from_json(obj):
     from .steps import BushLevels
     levels = _array(_object(obj, "a bush").get("levels"), '"levels"')
+    parsed = {}
     bush = BushLevels(tuple(
-        tuple(step_from_json(f) for f in _array(level, "a bush level"))
+        tuple(step_from_json(f, parsed) for f in _array(level, "a bush level"))
         for level in levels
     ))
     if "K" in obj and _integer(obj["K"], '"K"') != bush.top_level:
@@ -321,7 +334,9 @@ def family_from_json(obj):
     from .checkers import BaireContext, StepContext, VectorFamily
     _object(obj, "a family")
     if "steps" in obj:
-        steps = [step_from_json(f) for f in _array(obj["steps"], '"steps"')]
+        parsed = {}
+        steps = [step_from_json(f, parsed)
+                 for f in _array(obj["steps"], '"steps"')]
         return VectorFamily(steps, StepContext())
     kind = BasisKind.from_tag(obj.get("basis"))
     p = parse_exponent(obj.get("p"))

@@ -28,10 +28,16 @@ MAX_RESOLUTION = 20
 _ZERO = Fraction(0)
 
 
-def _check_resolution(resolution):
+def _check_resolution(resolution, count=None):
+    """A resolution in range, with 2**resolution cell values if counted."""
     if not (0 <= resolution <= MAX_RESOLUTION):
         raise InvalidParameter(
             f"resolution must lie in [0, {MAX_RESOLUTION}]"
+        )
+    if count is not None and count != 2**resolution:
+        raise ValidationError(
+            f"resolution {resolution} requires {2**resolution} "
+            f"values, got {count}"
         )
 
 
@@ -52,13 +58,8 @@ class DyadicStep(_CellMap):
     __slots__ = ("resolution", "values")
 
     def __init__(self, resolution: int, values: tuple):
-        _check_resolution(resolution)
         values = tuple(values)
-        if len(values) != 2**resolution:
-            raise ValidationError(
-                f"resolution {resolution} requires {2**resolution} "
-                f"values, got {len(values)}"
-            )
+        _check_resolution(resolution, len(values))
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "_cells", {
             i: v for i, v in enumerate(map(_value, values)) if v})

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from bairelab import (
 from bairelab.baire import ExponentP
 from bairelab.bases import approx_equal
 from bairelab import checkers
-from bairelab.checkers import _functional_supports
 from bairelab.errors import (
     BadIndexList,
     FamilyTooLarge,
@@ -175,13 +175,62 @@ def test_abs_falsifier_monotone_under_larger_sampler():
     assert small.is_violated and large.is_violated
 
 
+def test_trial_count_matches_the_built_vectors():
+    # grid and random samples on a sign pattern's ray are not counted
+    # twice: (-1, 1) repeats every pattern, (1/2, 1) repeats (1, 1)
+    for trials in (TrialCoeffs(), TrialCoeffs(grid=(F(-1), F(1))),
+                   TrialCoeffs(grid=(F(0), F(1, 2), F(1))),
+                   TrialCoeffs(grid=(F(-1), F(0), F(1)), random_trials=30,
+                               seed=5)):
+        for size in (1, 2, 4, 8):
+            assert trials.count(size) == len(trials.vectors(size))
+
+
+class _CountingFamily(VectorFamily):
+    def __init__(self, family):
+        super().__init__(family.vectors, family.context)
+        self.mixes = 0
+
+    def mix(self, coeff_index_pairs):
+        self.mixes += 1
+        return super().mix(coeff_index_pairs)
+
+
+def test_abs_falsifier_count_is_the_candidates_tested():
+    # the l1 p = 1 antichain never violates, so every candidate runs
+    grid = TrialCoeffs(grid=(F(0), F(1, 2), F(1)), random_trials=5, seed=2)
+    for trials in (TrialCoeffs(), grid):
+        for n in range(2, 10):
+            fam = _CountingFamily(delta_antichain_family(n, L1, 1))
+            assert abs_obstruction_falsify(fam, F(1, 2), trials) \
+                .is_inconclusive
+            assert fam.mixes == sum(
+                math.comb(n - ell + 1, 2**ell) * len(trials.vectors(2**ell))
+                for ell in (1, 2, 3) if ell - 1 + 2**ell <= n)
+
+
+def test_abs_falsifier_refuses_past_its_candidate_bound():
+    # n = 14 runs its 69,262 candidates; n = 20 has 6,189,468 and is
+    # refused before any is tested
+    for n, count in ((15, 172954), (20, 6189468)):
+        fam = _CountingFamily(delta_antichain_family(n, L1, 1))
+        start = time.process_time()
+        with pytest.raises(FamilyTooLarge,
+                           match=f"^{count} candidates exceed the bound "
+                                 f"{checkers.MAX_ABS_CANDIDATES}$"):
+            abs_obstruction_falsify(fam, F(1, 2))
+        assert time.process_time() - start < 1.0 and fam.mixes == 0
+
+
 # ---------------------------------------------------------------------------
 # convex blocks
 
 from util import (  # noqa: E402
     canonical_shapes,
+    functional_supports,
     grid_min,
     random_rational_vector,
+    reference_block_min,
     seeded_rng,
 )
 
@@ -203,67 +252,79 @@ def test_convex_block_min_examples():
         convex_block_min(fam1, (2, 3))
 
 
-def test_functional_bound_is_the_exact_count_for_p_zero():
-    # 20 unit vectors on a 21-node star: 42 functionals in c0 and 122 in
-    # l1, far within the bound, however many nodes the closure has
-    for kind in (C0, L1):
-        fam = delta_antichain_family(20, kind, P_ZERO)
-        coeffs, value = convex_block_min(fam, (0, 19))
-        assert value.power_base == F(1, 20) and value.inv_exp == 1
-        assert list(coeffs) == [F(1, 20)] * 20
-    # a 31-node chain has 2 ** 33 - 66 single-segment functionals in l1
-    start = time.perf_counter()
-    with pytest.raises(FunctionalSetTooLarge, match="8589934526"):
-        _functional_supports(spine(30), L1, P_ZERO)
-    assert time.perf_counter() - start < 1.0
-    # p >= 1 enumerates segment families, capped by the closure size
-    with pytest.raises(FunctionalSetTooLarge, match="capped at 20 closure"):
-        _functional_supports(spine(20), C0, ExponentP.of(1))
+def test_nineteen_vector_antichains_solve_in_under_a_second():
+    # the functionals number 3^19 + 1 in c0 p = 1 and 3^19 + 77 in l1
+    # p = 1, but the loop meets only those its LP points attain
+    for kind in (L1, C0):
+        for p, value in ((P_ZERO, F(1, 19)), (1, F(1))):
+            start = time.process_time()
+            coeffs, nv = convex_block_min(
+                delta_antichain_family(19, kind, p), (0, 18))
+            assert time.process_time() - start < 1.0
+            assert nv.power_base == value and nv.inv_exp == 1
+            assert list(coeffs) == [F(1, 19)] * 19
 
 
-def test_c0_functional_count_precedes_the_family_enumeration(monkeypatch):
-    # the count is the sum of 2 ** |U| over the supports (antichains in
-    # c0, segment unions in l1), and a count past the bound refuses
-    # before any family is enumerated
-    p = ExponentP.of(1)
-    for kind in (C0, L1):
-        for nodes in canonical_shapes(7):
-            closure = make_tree(nodes)
-            total = sum(2 ** len(u)
-                        for u in _functional_supports(closure, kind, p))
-            with monkeypatch.context() as m:
-                m.setattr(checkers, "MAX_FUNCTIONALS", total - 1)
-                m.setattr(checkers, "_segment_families",
-                          lambda _: pytest.fail("families enumerated"))
-                with pytest.raises(FunctionalSetTooLarge,
-                                   match=f"^{total} generating functionals"):
-                    _functional_supports(closure, kind, p)
-    start = time.perf_counter()
-    with pytest.raises(FunctionalSetTooLarge, match="^1162261468 generating "
-                       "functionals exceed the bound 100000$"):
-        convex_block_min(delta_antichain_family(19, C0, 1), (0, 18))
-    assert time.perf_counter() - start < 1.0
+def _assert_attained_and_below_the_vertices(fam, coeffs, value):
+    """The value is the norm of the returned combination and no larger
+    than the uniform combination's or any single vector's norm."""
+    w = len(coeffs)
+    assert sum(coeffs) == 1 and min(coeffs) >= 0
+    assert fam.norm(fam.mix(zip(coeffs, range(w)))) == value
+    assert value.compare(cesaro_mean(fam, range(w))[1]) <= 0
+    assert all(value.compare(fam.norm(x)) <= 0 for x in fam.vectors)
 
 
-def test_l1_functional_count_refuses_before_the_family_enumeration():
-    # 19 leaves under a root: 3 ** 19 families below the root, each leaf
-    # alone or not, plus the root's 20 segments
-    start = time.perf_counter()
-    with pytest.raises(FunctionalSetTooLarge, match="^1162261544 generating "
-                       "functionals exceed the bound 100000$"):
-        convex_block_min(delta_antichain_family(19, L1, 1), (0, 18))
-    assert time.perf_counter() - start < 1.0
+def test_p_one_families_past_twenty_closure_nodes_solve():
+    rng = seeded_rng(1601)
+    for tree in (random_tree(120, 0), random_tree(120, 1), spine(30)):
+        vectors = [random_rational_vector(tree, rng) for _ in range(3)]
+        for kind in (L1, C0):
+            fam = VectorFamily(vectors, BaireContext(kind, 1))
+            start = time.process_time()
+            coeffs, value = convex_block_min(fam, (0, 2))
+            assert time.process_time() - start < 1.0
+            _assert_attained_and_below_the_vertices(fam, coeffs, value)
+
+
+def test_weak_null_probe_on_a_thirty_vector_l1_antichain():
+    # every block has norm 1 in l1 p = 1, so each window length stops at
+    # its first block: 30 block-mins over windows of 1..30 vectors
+    start = time.process_time()
+    verdict = weak_null_probe(delta_antichain_family(30, L1, 1), F(1, 2))
+    assert time.process_time() - start < 1.0
+    assert verdict.is_inconclusive
 
 
 def test_convex_block_min_of_zero_vectors():
-    # the support closure is empty, so the LP has no coordinate at all
+    # every combination has norm 0, so the tie rule returns the uniform
+    # mean
     tree = prefix_closure([(0,), (1,)])
     for kind in (L1, C0):
         for p in (P_ZERO, 1):
             fam = VectorFamily([BaireVector(tree, {})] * 2,
                                BaireContext(kind, p))
             coeffs, value = convex_block_min(fam, (0, 1))
-            assert coeffs == (1, 0) and value.power_base == 0
+            assert coeffs == (F(1, 2), F(1, 2)) and value.power_base == 0
+
+
+def test_cutting_planes_match_the_full_functional_lp():
+    # exact equality with the LP over every generating functional, and
+    # the tie rule: the uniform mean exactly when it attains the minimum
+    rng = seeded_rng(1602)
+    for nodes in canonical_shapes(6):
+        tree = make_tree(nodes)
+        for kind, p in ((L1, P_ZERO), (L1, 1), (C0, P_ZERO), (C0, 1)):
+            p = ExponentP.coerce(p)
+            w = rng.randint(2, 4)
+            vectors = [random_rational_vector(tree, rng, allow_zero=True)
+                       for _ in range(w)]
+            fam = VectorFamily(vectors, BaireContext(kind, p))
+            coeffs, value = convex_block_min(fam, (0, w - 1))
+            assert value == reference_block_min(vectors, kind, p)[1]
+            _assert_attained_and_below_the_vertices(fam, coeffs, value)
+            uniform = cesaro_mean(fam, range(w))[1]
+            assert (coeffs == (F(1, w),) * w) == (uniform == value)
 
 
 def test_convex_block_min_matches_grid_oracle():
@@ -391,7 +452,9 @@ def test_weak_null_probe_passes_eventually_in_sup_context():
 
 # SHA-256 over repr of every output of _checker_outputs, one line each,
 # recorded before the c0 supports were read off the segment families and
-# before the p = 0 subgradient became the one-segment family case.
+# before the p = 0 subgradient became the one-segment family case.  The
+# support lines come from util.functional_supports, the enumeration the
+# exact block-min LP was built over before it moved to cutting planes.
 CHECKERS_DIGEST = (
     "6025a72779c0a04b200e8709fefa690209b278a3f66750b69a96be9303f42340"
 )
@@ -431,7 +494,7 @@ def _checker_outputs():
         closure = make_tree(nodes)
         for kind in (L1, L2, C0):
             for p in (P_ZERO, ExponentP.of(1), ExponentP.of(2)):
-                yield _functional_supports(closure, kind, p)
+                yield functional_supports(closure, kind, p)
 
 
 def test_checker_outputs_are_pinned_bit_for_bit():

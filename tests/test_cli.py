@@ -186,6 +186,13 @@ def test_check_abs_command(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "violated" and doc["witness"]["ell"] == 2
 
+    fam3 = delta_antichain_family(20, BasisKind.L1, 1)
+    path3 = write(tmp_path, "fam3.json", family_to_json(fam3))
+    code, out, err = run_cli(capsys, "check-abs", "--family", path3,
+                             "--epsilon", "1/2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FamilyTooLarge"
+
 
 def test_check_identity_commands(capsys, tmp_path):
     t = make_tree([(), (0,), (1,), (0, 0)])

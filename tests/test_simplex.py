@@ -6,7 +6,6 @@ from unittest import mock
 import pytest
 
 from bairelab import (
-    BaireContext,
     BaireVector,
     BasisKind,
     DyadicStep,
@@ -17,9 +16,10 @@ from bairelab import (
     convex_block_min,
     random_tree,
 )
+from bairelab.baire import ExponentP
 from bairelab.simplex import LPInfeasible, LPUnbounded, solve_lp
 
-from util import seeded_rng
+from util import full_block_min_lp, seeded_rng
 
 F = Fraction
 L1, C0 = BasisKind.L1, BasisKind.C0
@@ -192,7 +192,9 @@ def test_solve_lp_matches_vertex_enumeration():
 
 # SHA-256 over one line per LP of `_lp_corpus`: repr((value, solution)) for
 # an optimum, else the exception's type name.  Recorded with the dense
-# Fraction simplex, before the rows became integers.
+# Fraction simplex, before the rows became integers.  The Baire block-min
+# LPs are the full LPs over every generating functional, which block-min
+# itself built until it moved to cutting planes.
 SOLVE_LP_DIGEST = (
     "61b45a28f3284ecdbd64ed40c003de20e591fd991fc99a4464f25534751efe7f"
 )
@@ -243,7 +245,7 @@ def _lp_corpus():
             vectors = [BaireVector(tree, {
                 node: rng.choice((0, 0, -3, -2, -1, 1, 2, 3, F(1, 2)))
                 for node in tree}) for _ in range(3)]
-            yield _block_min_lp(VectorFamily(vectors, BaireContext(kind, p)))
+            yield full_block_min_lp(vectors, kind, ExponentP.coerce(p))
     for res in (2, 3):
         steps = [DyadicStep(res, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                                        for _ in range(2**res)))

@@ -4,7 +4,16 @@ definitional oracles kept independent of the library's fast paths."""
 import random
 from fractions import Fraction
 
-from bairelab import BaireVector, Segment, basis_norm, segment_vector
+from bairelab import (
+    BaireVector,
+    BasisKind,
+    NormValue,
+    Segment,
+    basis_norm,
+    prefix_closure,
+    segment_vector,
+)
+from bairelab.simplex import solve_lp
 from bairelab.trees import FiniteTree, comparable, is_prefix, node_key
 
 
@@ -161,3 +170,66 @@ def grid_min(family, window, max_denominator=6):
         if best is None or nv.compare(best) < 0:
             best = nv
     return best
+
+
+def functional_supports(closure, kind, p):
+    """Definitional node sets over which sign patterns generate the
+    polyhedral norm (l1 or c0, p in {0, 1}), the functionals being
+    sum_{s in U} +-y(s).  l1 reads every node of each segment, so U is
+    one segment's chain (p = 0) or a nonempty family's nodes (p = 1).  c0
+    reads one node per segment, and one node from each segment of a
+    family is an antichain, so U is a single node (p = 0) or the start
+    nodes of a nonempty family, which are exactly the antichains
+    (p = 1)."""
+    l1 = kind is BasisKind.L1
+    if p.is_zero:
+        if not l1:
+            return [(v,) for v in closure]
+        return sorted(tuple(v[:i] for i in range(j, len(v) + 1))
+                      for v in closure for j in range(len(v) + 1))
+    families = [fam for fam in brute_families(closure) if fam]
+    if not l1:
+        return sorted({tuple(sorted((a for a, _ in fam), key=node_key))
+                       for fam in families})
+    return sorted(
+        tuple(sorted((v[:i] for a, v in fam
+                      for i in range(len(a), len(v) + 1)), key=node_key))
+        for fam in families
+    )
+
+
+def full_block_min_lp(vectors, kind, p):
+    """The block-min LP over every generating functional, as solve_lp
+    arguments.  Variables: the weights a (sum a = 1), u_s >= |y(s)| per
+    node s of the support closure in node_key order, and a bound t >= the
+    sum of the u's over each inclusion-maximal support (u >= 0 makes the
+    others redundant); t is minimized."""
+    closure = prefix_closure(set().union(*(v.support for v in vectors)))
+    nodes = sorted(closure, key=node_key)
+    index = {s: j for j, s in enumerate(nodes)}
+    w, n = len(vectors), len(nodes)
+    zero, one = Fraction(0), Fraction(1)
+    a_ub = []
+    for j, s in enumerate(nodes):
+        for sign in (1, -1):
+            row = [sign * v[s] for v in vectors] + [zero] * (n + 1)
+            row[w + j] = -one
+            a_ub.append(row)
+    supports = functional_supports(closure, kind, p)
+    sets = [frozenset(u) for u in supports]
+    for u, su in zip(supports, sets):
+        if any(su < other for other in sets):
+            continue
+        row = [zero] * (w + n) + [-one]
+        for s in u:
+            row[w + index[s]] = one
+        a_ub.append(row)
+    return ([zero] * (w + n) + [one], a_ub, [zero] * len(a_ub),
+            [[one] * w + [zero] * (n + 1)], [one])
+
+
+def reference_block_min(vectors, kind, p):
+    """Exact minimum norm over convex combinations, from the full LP:
+    (weights of its Bland vertex, NormValue)."""
+    value, sol = solve_lp(*full_block_min_lp(vectors, kind, p))
+    return tuple(sol[:len(vectors)]), NormValue.exact(value, 1)

@@ -11,6 +11,7 @@ import itertools
 import math
 import random as _random
 from fractions import Fraction
+from functools import partial
 
 from .baire import (
     BaireVector,
@@ -32,6 +33,7 @@ from .errors import (
     Record,
     TreeMismatch,
     WindowOutOfRange,
+    within_binary64,
 )
 from .simplex import solve_lp
 from .steps import l1_norm, step_linear_combination
@@ -187,17 +189,13 @@ def bs_obstruction_check(family, epsilon):
     )
 
 
-#: Largest full grid product the falsifier expands per index tuple.
-MAX_GRID_POINTS = 4096
-
-
 class TrialCoeffs(Record):
     """Sampler for the alternating-obstruction falsifier.
 
     Every +-1 pattern is always swept (first coefficient fixed to +1, the
     inequality is invariant under a global flip).  grid: per-coordinate
-    rational values, expanded as a full product while it stays within
-    MAX_GRID_POINTS.  random_trials: seeded random rational vectors per
+    rational values, expanded as a full product once count has checked
+    it against MAX_ABS_CANDIDATES.  random_trials: seeded random vectors per
     index tuple.  Only the first vector on each positive ray is kept:
     the tested inequality is invariant under positive scaling.
     """
@@ -223,13 +221,12 @@ class TrialCoeffs(Record):
     def _samples(self, size):
         """The nonzero grid and random vectors, in sweep order."""
         values = tuple(Fraction(g) for g in self.grid)
-        grid = (itertools.product(values, repeat=size)
-                if len(values) ** size <= MAX_GRID_POINTS else ())
+        grid = itertools.product(values, repeat=size)
         rng = _random.Random(self.seed)
         trials = (tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                         for _ in range(size))
                   for _ in range(self.random_trials))
-        return [c for c in itertools.chain(grid, trials) if any(c)]
+        return (c for c in itertools.chain(grid, trials) if any(c))
 
     def vectors(self, size):
         signs = ((Fraction(1),) + tuple(Fraction(s) for s in tail)
@@ -243,10 +240,16 @@ class TrialCoeffs(Record):
         """len(self.vectors(size)), without building its 2^(size - 1) sign
         patterns: a sample lies on a sign pattern's ray exactly when its
         first entry is positive and all its entries share one absolute
-        value."""
-        return 2 ** (size - 1) + len({
-            _ray(c) for c in self._samples(size)
-            if not (c[0] > 0 and len(set(map(abs, c))) == 1)})
+        value.  Past MAX_ABS_CANDIDATES rays the grid is refused with
+        FamilyTooLarge before the rest of it is expanded."""
+        rays = set()
+        for c in self._samples(size):
+            if not (c[0] > 0 and len(set(map(abs, c))) == 1):
+                rays.add(_ray(c))
+                if len(rays) > MAX_ABS_CANDIDATES:
+                    raise FamilyTooLarge(
+                        f"over {MAX_ABS_CANDIDATES} grid rays of size {size}")
+        return 2 ** (size - 1) + len(rays)
 
 
 def _ray(c):
@@ -332,103 +335,35 @@ def _lp_min_norm_steps(steps):
     return tuple(sol[:w]), NormValue.exact(value, 1)
 
 
-def _witness_family(combo, kind, p):
+def _witness_family(combo, context):
     """The norm of combo and the DP's attaining family: for p = 0 its one
     segment, or none for the zero vector."""
-    if p.is_zero:
-        nv, seg = baire_norm_zero(combo, kind, with_witness=True)
+    if context.p.is_zero:
+        nv, seg = baire_norm_zero(combo, context.kind, with_witness=True)
         return nv, () if seg is None else (seg,)
-    return baire_norm_witness(combo, kind, p)
+    return baire_norm_witness(combo, context.kind, context.p)
 
 
-def _attaining_cut(combo, vectors, kind, p):
-    """The exact norm of combo, and the cut row of a signed generating
-    functional attaining it there.
+def _attaining_cut(combo, vectors, context):
+    """The exact norm of combo, and the cut row and right-hand side of a
+    signed generating functional attaining it there.
 
     The functional reads the DP's witness family: every node of each
     segment in l1, each segment's largest-|coefficient| node in c0, each
     with the sign of combo's coefficient (a node where combo vanishes is
     left out, which still bounds the norm).  Over the weights a and the
     bound t its row is sum_i a_i phi(vectors[i]) - t <= 0."""
-    nv, family = _witness_family(combo, kind, p)
+    nv, family = _witness_family(combo, context)
     signs = {}
     for seg in family:
         nodes = seg.nodes()
-        if kind is BasisKind.C0:
+        if context.kind is BasisKind.C0:
             nodes = (max(nodes, key=lambda s: abs(combo[s])),)
         for s in nodes:
             if combo[s]:
                 signs[s] = 1 if combo[s] > 0 else -1
     row = [sum(sign * x[s] for s, sign in signs.items()) for x in vectors]
-    return nv.power_base, row + [Fraction(-1)]
-
-
-def _lp_min_norm_baire(vectors, kind, p):
-    """The polyhedral contexts, by Kelley's cutting planes.
-
-    Each norm is the maximum of finitely many signed generating
-    functionals, so it is the least t with sum_i a_i phi(x_i) <= t for
-    every one of them.  The LP over a and t keeps the functionals met so
-    far: seeded with the ones attaining the norm at the uniform mean and
-    at each vector, it is solved, and the exact norm at its weights
-    either is at most its value, which is then the minimum, or comes
-    with a violated functional, which is added.  Ties: the uniform
-    (Cesaro) mean when it attains the minimum, else the last LP's
-    vertex."""
-    w = len(vectors)
-    zero, one = Fraction(0), Fraction(1)
-    uniform = (Fraction(1, w),) * w
-    at_uniform, cut = _attaining_cut(linear_combination(zip(uniform, vectors)),
-                                     vectors, kind, p)
-    rows = [cut] + [_attaining_cut(x, vectors, kind, p)[1] for x in vectors]
-    while True:
-        t, sol = solve_lp([zero] * w + [one], rows, [zero] * len(rows),
-                          [[one] * w + [zero]], [one])
-        a = tuple(sol[:w])
-        value, cut = _attaining_cut(linear_combination(zip(a, vectors)),
-                                    vectors, kind, p)
-        if value <= t:
-            break
-        rows.append(cut)
-    return uniform if at_uniform == t else a, NormValue.exact(t, 1)
-
-
-def _project_simplex(v):
-    u = sorted(v, reverse=True)
-    theta = 0.0
-    css = 0.0
-    for i, ui in enumerate(u):
-        css += ui
-        t = (css - 1.0) / (i + 1)
-        if ui - t > 0:
-            theta = t
-    return [max(x - theta, 0.0) for x in v]
-
-
-def _float_subgradient(vectors, a, context):
-    kind, p = context.kind, context.p
-    combo = linear_combination(
-        [(Fraction(ai).limit_denominator(10**12), x) for ai, x in zip(a, vectors)]
-    )
-    nv, family = _witness_family(combo, kind, p)
-    # p = 0 aggregates its one segment with exponent 1
-    pf = 1.0 if p.is_zero else float(p.value)
-    f = nv.approx
-    if f == 0.0 or not family:
-        return f, [0.0] * len(a)
-    grad = [0.0] * len(a)
-    for seg in family:
-        block = [float(c) for c in segment_vector(combo, seg)]
-        bn, g = _block_float(block, kind)
-        if bn == 0.0:
-            continue
-        for i, x in enumerate(vectors):
-            inner = sum(
-                gi * float(ci) for gi, ci in zip(g, segment_vector(x, seg))
-            )
-            grad[i] += bn ** (pf - 1.0) * inner
-    scale = f ** (1.0 - pf)
-    return f, [scale * gi for gi in grad]
+    return nv.power_base, row + [Fraction(-1)], Fraction(0)
 
 
 def _block_float(block, kind):
@@ -445,7 +380,82 @@ def _block_float(block, kind):
     return abs(block[top]), g
 
 
-SUBGRADIENT_ITERATIONS = 400
+#: Outside the polyhedral contexts the loop stops once the least norm met
+#: is within BLOCK_MIN_GAP * s of its lower bound, or after MAX_BLOCK_CUTS
+#: cuts; s is the power of two nearest the uniform mean's norm.  Cuts over
+#: s round slopes down and right-hand sides up to multiples of 1/_CUT_GRID.
+BLOCK_MIN_GAP = 1e-4
+MAX_BLOCK_CUTS = 64
+_CUT_GRID = 2**30
+
+
+@within_binary64
+def _linearised_cut(combo, vectors, context, scale):
+    """The approximate norm f of combo = sum_i a_i vectors[i] and its cut
+    g.a <= t over scale, g the float subgradient of the DP's witness
+    family.  The norm is homogeneous, so the linearisation has no constant
+    term; its right-hand side 0 rounds up to 1/_CUT_GRID, which keeps the
+    LP off the origin, where it is degenerate and slower."""
+    nv, family = _witness_family(combo, context)
+    f = nv.approx
+    # p = 0 aggregates its one segment with exponent 1
+    pf = 1.0 if context.p.is_zero else float(context.p.value)
+    grad = [0.0] * len(vectors)
+    for seg in family if f else ():
+        bn, g = _block_float([float(c) for c in segment_vector(combo, seg)],
+                             context.kind)
+        for i, x in enumerate(vectors):
+            inner = sum(gi * float(ci)
+                        for gi, ci in zip(g, segment_vector(x, seg)))
+            grad[i] += bn ** (pf - 1.0) * inner
+    outer = f ** (1.0 - pf) if f else 0.0
+    row = [Fraction(math.floor(outer * gi / scale * _CUT_GRID), _CUT_GRID)
+           for gi in grad]
+    return f, row + [Fraction(-1)], Fraction(1, _CUT_GRID)
+
+
+def _cutting_planes(vectors, context):
+    """Kelley's cutting planes (J. SIAM 8, 1960): the weights and least
+    norm met of a convex combination.  The LP over the weights a and a
+    bound t has one row per cut below the norm, seeded at the uniform
+    mean and at each vector; each solve adds the cut at its weights.
+    Polyhedral contexts cut with _attaining_cut and stop when the exact
+    norm there is at most t; others cut with _linearised_cut and stop as
+    BLOCK_MIN_GAP says.  Ties: the uniform (Cesaro) mean when it attains
+    the least norm met, else the latest point that does."""
+    w = len(vectors)
+    zero, one = Fraction(0), Fraction(1)
+    uniform = (Fraction(1, w),) * w
+    mean = linear_combination(zip(uniform, vectors))
+    exact = context.polyhedral
+    if exact:
+        cut = partial(_attaining_cut, vectors=vectors, context=context)
+    else:
+        u = context.norm(mean).approx
+        scale = 2.0 ** round(math.log2(u)) if u else 1.0
+        cut = partial(_linearised_cut, vectors=vectors, context=context,
+                      scale=scale)
+    units = [tuple(int(j == i) for j in range(w)) for i in range(w)]
+    met, cuts = [], []  # (norm, weights) and (row, right-hand side)
+    for a, combo in zip([uniform] + units, [mean] + vectors):
+        value, row, b = cut(combo)
+        met.append((value, a))
+        cuts.append((row, b))
+    for k in itertools.count():
+        t, sol = solve_lp([zero] * w + [one], [r for r, _ in cuts],
+                          [b for _, b in cuts], [[one] * w + [zero]], [one])
+        a = tuple(sol[:w]) if exact else tuple(
+            x.limit_denominator(10**12) for x in sol[:w])
+        value, row, b = cut(linear_combination(zip(a, vectors)))
+        met.append((value, a))
+        least = min(v for v, _ in met)
+        if exact and value <= t or not exact and (
+                least - float(t) * scale <= BLOCK_MIN_GAP * scale
+                or k == MAX_BLOCK_CUTS):
+            break
+        cuts.append((row, b))
+    # the uniform mean first, then the latest point
+    return next(a for v, a in met[:1] + met[::-1] if v == least), least
 
 
 def convex_block_min(family, window):
@@ -454,15 +464,13 @@ def convex_block_min(family, window):
     window = (start, length) covers vectors start..start+length
     inclusive, length + 1 of them, and returns one coefficient each.
 
-    Polyhedral contexts (summable or sup ingredient with p in {1, 0}, and
-    dyadic-step families) are solved exactly by a rational simplex: by
-    cutting planes over the generating functionals, whose ties go to the
-    uniform (Cesaro) mean when it attains the minimum, else to the last
-    LP's vertex; steps by one LP over their cells.  Other contexts run
-    400 projected-subgradient steps and return the approximate norm of
-    the returned weights' combination (each weight read within 1e-12):
-    an upper bound on the minimum, not a certified one, which can lie
-    well above it.
+    Dyadic-step families are solved exactly by one LP over their cells,
+    coefficient families by _cutting_planes: exactly over rationals in
+    the polyhedral contexts (summable or sup ingredient with p in
+    {1, 0}).  Elsewhere the result is float weights and the approximate
+    norm of their combination (each weight read within 1e-12), an upper
+    bound on the minimum within BLOCK_MIN_GAP * s of a lower bound unless
+    MAX_BLOCK_CUTS cuts run out first.
     """
     start, length = window
     n = len(family)
@@ -472,19 +480,10 @@ def convex_block_min(family, window):
     ctx = family.context
     if isinstance(ctx, StepContext):
         return _lp_min_norm_steps(vectors)
+    a, least = _cutting_planes(vectors, ctx)
     if ctx.polyhedral:
-        return _lp_min_norm_baire(vectors, ctx.kind, ctx.p)
-    w = len(vectors)
-    a = [1.0 / w] * w
-    best_f, best_a = None, list(a)
-    for t in range(SUBGRADIENT_ITERATIONS):
-        f, g = _float_subgradient(vectors, a, ctx)
-        if best_f is None or f < best_f:
-            best_f, best_a = f, list(a)
-        step = 0.5 / math.sqrt(t + 1.0)
-        a = _project_simplex([ai - step * gi for ai, gi in zip(a, g)])
-    f, _ = _float_subgradient(vectors, best_a, ctx)
-    return tuple(best_a), NormValue.approximate(min(f, best_f))
+        return a, NormValue.exact(least, 1)
+    return tuple(map(float, a)), NormValue.approximate(least)
 
 
 def weak_null_probe(family, epsilon):
@@ -500,7 +499,8 @@ def weak_null_probe(family, epsilon):
 
     Cost: one convex_block_min per block tried, at most the sum of
     ceil(n / len) over len = 1..n, n = len(family); a length stops at its
-    first block that is not below epsilon.
+    first block that is not below epsilon.  Outside the polyhedral
+    contexts each block solves at most MAX_BLOCK_CUTS + 1 LPs.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ from bairelab import (
 )
 from bairelab.baire import ExponentP
 from bairelab.bases import approx_equal
+from bairelab.simplex import solve_lp
 from bairelab import checkers
 from bairelab.errors import (
     BadIndexList,
@@ -209,6 +211,33 @@ def test_abs_falsifier_count_is_the_candidates_tested():
                 for ell in (1, 2, 3) if ell - 1 + 2**ell <= n)
 
 
+def test_a_grid_past_4096_points_is_swept_in_full():
+    # 9^4 = 6561 grid points at size 4: every one is tested, and the
+    # verdict's `tested` names the grid for ell = 2
+    trials = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
+    assert trials.count(4) == len(trials.vectors(4)) == 5856
+    fam = _CountingFamily(delta_antichain_family(6, L1, 1))
+    verdict = abs_obstruction_falsify(fam, F(1, 2), trials)
+    assert verdict.is_inconclusive and "ell=2: sign patterns (2^3), grid" \
+        in verdict.tested
+    assert fam.mixes == math.comb(6, 2) * trials.count(2) + \
+        math.comb(5, 4) * trials.count(4)
+
+
+def test_a_grid_past_the_candidate_bound_is_refused_before_it_is_built(
+        monkeypatch):
+    # ell = 3 would expand 9^8 = 43 million grid vectors; the count stops
+    # at the first ray past the bound (ell = 2 has 5,856 rays)
+    monkeypatch.setattr(checkers, "MAX_ABS_CANDIDATES", 6000)
+    trials = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
+    fam = _CountingFamily(delta_antichain_family(10, L1, 1))
+    start = time.process_time()
+    with pytest.raises(FamilyTooLarge,
+                       match="^over 6000 grid rays of size 8$"):
+        abs_obstruction_falsify(fam, F(1, 2), trials)
+    assert time.process_time() - start < 1.0 and fam.mixes == 0
+
+
 def test_abs_falsifier_refuses_past_its_candidate_bound():
     # n = 14 runs its 69,262 candidates; n = 20 has 6,189,468 and is
     # refused before any is tested
@@ -232,6 +261,7 @@ from util import (  # noqa: E402
     random_rational_vector,
     reference_block_min,
     seeded_rng,
+    simplex_grid,
 )
 
 
@@ -386,8 +416,9 @@ def test_convex_block_min_subgradient_mode():
 
 
 def _assert_subgradient_minimum(fam, window):
-    """The subgradient result is a point of the simplex whose combination
-    has the returned norm, no larger than the uniform combination's."""
+    """The linearised loop's result is a point of the simplex whose
+    combination has the returned norm, no larger than the uniform
+    combination's or any single vector's."""
     start, length = window
     coeffs, value = convex_block_min(fam, window)
     assert not value.is_exact
@@ -398,6 +429,8 @@ def _assert_subgradient_minimum(fam, window):
     uniform = fam.mix([(F(1, length + 1), start + i)
                        for i in range(length + 1)])
     assert value.compare(fam.norm(uniform)) <= 0
+    assert all(value.compare(fam.norm(x)) <= 0
+               for x in fam.vectors[start : start + length + 1])
     return value
 
 
@@ -413,6 +446,87 @@ def test_convex_block_min_subgradient_in_c0():
         fam = VectorFamily(vectors, BaireContext(C0, F(3, 2)))
         _assert_subgradient_minimum(fam, (0, 3))
         _assert_subgradient_minimum(fam, (1, 1))
+
+
+def test_linearised_cuts_find_a_zero_minimum():
+    # 30 full-support vectors on 10 nodes have 0 in their convex hull,
+    # while their uniform mean has norm 1.30
+    rng = seeded_rng(1700)
+    tree = random_tree(10, 0)
+    vectors = [random_rational_vector(tree, rng) for _ in range(30)]
+    fam = VectorFamily(vectors, BaireContext(L2, 2))
+    start = time.process_time()
+    value = _assert_subgradient_minimum(fam, (0, 29))
+    assert time.process_time() - start < 1.0
+    assert value.approx <= 1e-4 * cesaro_mean(fam, range(30))[1].approx
+
+
+def _pairwise_descent(fam, w):
+    """A convex combination of small norm, built independently of the
+    loop: the best point of a coarse simplex grid, improved by moving
+    weight between two coordinates while that lowers the norm."""
+    def norm(a):
+        return fam.norm(fam.mix(zip(a, range(w)))).approx
+
+    a = min(simplex_grid(w, 4), key=norm)
+    best, step = norm(a), F(1, 8)
+    while step > F(1, 2**16):
+        moved = False
+        for i, j in itertools.permutations(range(w), 2):
+            d = min(step, a[j])
+            if not d:
+                continue
+            b = list(a)
+            b[i], b[j] = b[i] + d, b[j] - d
+            value = norm(b)
+            if value < best:
+                a, best, moved = tuple(b), value, True
+        if not moved:
+            step /= 2
+    return best
+
+
+def test_linearised_cuts_reach_a_constructed_combination():
+    rng = seeded_rng(1702)
+    for seed in range(6):
+        vectors = [random_rational_vector(random_tree(10, seed), rng)
+                   for _ in range(6)]
+        fam = VectorFamily(vectors, BaireContext(L1, F(3, 2)))
+        value = _assert_subgradient_minimum(fam, (0, 5))
+        assert value.approx <= (1 + 1e-4) * _pairwise_descent(fam, 6)
+
+
+def test_linearised_cuts_scale_with_the_coefficients():
+    rng = seeded_rng(1703)
+    tree = random_tree(8, 3)
+    for kind, p in ((L2, 2), (L1, F(3, 2)), (C0, 2), (L2, P_ZERO)):
+        vectors = [random_rational_vector(tree, rng) for _ in range(4)]
+        value = _assert_subgradient_minimum(
+            VectorFamily(vectors, BaireContext(kind, p)), (0, 3)).approx
+        for k in (40, -40):
+            scaled = [BaireVector(tree, {s: x[s] * F(2)**k for s in tree})
+                      for x in vectors]
+            nv = _assert_subgradient_minimum(
+                VectorFamily(scaled, BaireContext(kind, p)), (0, 3))
+            assert nv.approx == pytest.approx(value * 2.0**k, rel=1e-4)
+
+
+def test_linearised_cuts_stop_at_the_cut_cap(monkeypatch):
+    monkeypatch.setattr(checkers, "BLOCK_MIN_GAP", 0)
+    solves = []
+
+    def counted(*args):
+        solves.append(len(args[1]))
+        return solve_lp(*args)
+
+    monkeypatch.setattr(checkers, "solve_lp", counted)
+    rng = seeded_rng(1704)
+    vectors = [random_rational_vector(random_tree(8, 1), rng)
+               for _ in range(4)]
+    _assert_subgradient_minimum(
+        VectorFamily(vectors, BaireContext(L2, 2)), (0, 3))
+    # a gap of 0 is never met here, so the cap alone stops the loop
+    assert len(solves) == checkers.MAX_BLOCK_CUTS + 1
 
 
 def test_weak_null_probe_examples():
@@ -451,12 +565,13 @@ def test_weak_null_probe_passes_eventually_in_sup_context():
 # golden digest
 
 # SHA-256 over repr of every output of _checker_outputs, one line each,
-# recorded before the c0 supports were read off the segment families and
-# before the p = 0 subgradient became the one-segment family case.  The
-# support lines come from util.functional_supports, the enumeration the
-# exact block-min LP was built over before it moved to cutting planes.
+# re-recorded when the linearised cutting planes replaced the projected
+# subgradient steps: only the three lines of the linearised contexts
+# moved, each value by less than 1e-4 relative.  The support lines come
+# from util.functional_supports, the enumeration the exact block-min LP
+# was built over before it moved to cutting planes.
 CHECKERS_DIGEST = (
-    "6025a72779c0a04b200e8709fefa690209b278a3f66750b69a96be9303f42340"
+    "73d374f91f21e7ed539e3ee510521ce31a9fa7c4cc4812c992d81ebd70379852"
 )
 
 
@@ -470,7 +585,7 @@ def _checker_outputs():
                        for _ in range(3)]
             yield convex_block_min(
                 VectorFamily(vectors, BaireContext(kind, p)), (0, 2))
-    # the subgradient contexts
+    # the linearised contexts
     tree = random_tree(5, 7)
     for kind, p in ((L2, P_ZERO), (L2, 2), (L1, F(3, 2))):
         vectors = [random_rational_vector(tree, rng) for _ in range(3)]
@@ -479,8 +594,8 @@ def _checker_outputs():
     steps = [DyadicStep(2, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                                  for _ in range(4))) for _ in range(3)]
     yield convex_block_min(VectorFamily(steps, StepContext()), (0, 2))
-    # grid trials: 9 values run in full at size 2 and stay over the
-    # product cap at size 4
+    # grid trials: 9 values run in full at sizes 2 and 4 (5,856 vectors
+    # at size 4, ~3 s of this corpus)
     grid = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
     seeded = TrialCoeffs(random_trials=20, seed=3)
     tree = random_tree(6, 11)

@@ -523,8 +523,8 @@ def test_huge_decimal_exponents_exit_fast(capsys, tmp_path):
 
 
 def test_block_min_beyond_binary64_exits_2(capsys, tmp_path):
-    # the (l2, 3/2) subgradient squares 10^200 in binary64, which is inf
-    # without an OverflowError
+    # the (l2, 3/2) norm of the uniform mean squares 10^200 in binary64,
+    # which is inf without an OverflowError
     tree = {"nodes": [[], [0], [1]]}
     fam = write(tmp_path, "fam.json", {
         "basis": "l2", "p": "3/2", "tree": tree,

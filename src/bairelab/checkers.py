@@ -33,6 +33,7 @@ from .errors import (
     Record,
     TreeMismatch,
     WindowOutOfRange,
+    rational,
     within_binary64,
 )
 from .simplex import solve_lp
@@ -165,7 +166,7 @@ def bs_obstruction_check(family, epsilon):
     increasing index tuple has norm >= epsilon: the family is an
     epsilon-obstruction prefix.  Requires all vectors in the unit ball.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon, "epsilon")
     if epsilon <= 0:
         raise InvalidParameter("epsilon must be positive")
     n = len(family)
@@ -194,8 +195,8 @@ class TrialCoeffs(Record):
 
     Every +-1 pattern is always swept (first coefficient fixed to +1, the
     inequality is invariant under a global flip).  grid: per-coordinate
-    rational values, expanded as a full product once count has checked
-    it against MAX_ABS_CANDIDATES.  random_trials: seeded random vectors per
+    rational values, expanded as a full product and refused past
+    MAX_ABS_CANDIDATES rays.  random_trials: seeded random vectors per
     index tuple.  Only the first vector on each positive ray is kept:
     the tested inequality is invariant under positive scaling.
     """
@@ -218,43 +219,39 @@ class TrialCoeffs(Record):
             )
         return ", ".join(parts)
 
-    def _samples(self, size):
-        """The nonzero grid and random vectors, in sweep order."""
-        values = tuple(Fraction(g) for g in self.grid)
+    def _rays(self, size):
+        """The grid and random samples in sweep order, the first on each
+        ray only, off the sign patterns' rays (a first entry positive and
+        all entries of one absolute value); FamilyTooLarge past
+        MAX_ABS_CANDIDATES rays, before the rest is expanded."""
+        values = tuple(rational(g, "grid values") for g in self.grid)
         grid = itertools.product(values, repeat=size)
         rng = _random.Random(self.seed)
         trials = (tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                         for _ in range(size))
                   for _ in range(self.random_trials))
-        return (c for c in itertools.chain(grid, trials) if any(c))
-
-    def vectors(self, size):
-        signs = ((Fraction(1),) + tuple(Fraction(s) for s in tail)
-                 for tail in itertools.product((1, -1), repeat=size - 1))
-        rays = {}
-        for c in itertools.chain(signs, self._samples(size)):
-            rays.setdefault(_ray(c), c)
-        return list(rays.values())
-
-    def count(self, size):
-        """len(self.vectors(size)), without building its 2^(size - 1) sign
-        patterns: a sample lies on a sign pattern's ray exactly when its
-        first entry is positive and all its entries share one absolute
-        value.  Past MAX_ABS_CANDIDATES rays the grid is refused with
-        FamilyTooLarge before the rest of it is expanded."""
         rays = set()
-        for c in self._samples(size):
-            if not (c[0] > 0 and len(set(map(abs, c))) == 1):
-                rays.add(_ray(c))
+        for c in itertools.chain(grid, trials):
+            if not any(c) or c[0] > 0 and len(set(map(abs, c))) == 1:
+                continue
+            scale = sum(map(abs, c))
+            ray = tuple(v / scale for v in c)
+            if ray not in rays:
+                rays.add(ray)
                 if len(rays) > MAX_ABS_CANDIDATES:
                     raise FamilyTooLarge(
                         f"over {MAX_ABS_CANDIDATES} grid rays of size {size}")
-        return 2 ** (size - 1) + len(rays)
+                yield c
 
+    def vectors(self, size):
+        """The 2^(size - 1) sign patterns, then _rays' samples."""
+        signs = [(Fraction(1),) + tuple(Fraction(s) for s in tail)
+                 for tail in itertools.product((1, -1), repeat=size - 1)]
+        return signs + list(self._rays(size))
 
-def _ray(c):
-    scale = sum(map(abs, c))
-    return tuple(v / scale for v in c)
+    def count(self, size):
+        """len(self.vectors(size)), without building its sign patterns."""
+        return 2 ** (size - 1) + sum(1 for _ in self._rays(size))
 
 
 #: Most candidates (index tuple, coefficient vector) the alternating
@@ -273,7 +270,7 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     sum over ell of C(n - ell + 1, 2**ell) * len(trials.vectors(2**ell)),
     are counted first, and more than MAX_ABS_CANDIDATES are refused.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon, "epsilon")
     if epsilon <= 0:
         raise InvalidParameter("epsilon must be positive")
     n = len(family)
@@ -502,7 +499,7 @@ def weak_null_probe(family, epsilon):
     first block that is not below epsilon.  Outside the polyhedral
     contexts each block solves at most MAX_BLOCK_CUTS + 1 LPs.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = rational(epsilon, "epsilon")
     if epsilon <= 0:
         raise InvalidParameter("epsilon must be positive")
     n = len(family)

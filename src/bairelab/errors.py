@@ -68,8 +68,11 @@ class InvalidParameter(BaireLabError):
 
 
 def rational(c, what="coefficients"):
-    """c as a Fraction; a bool or a non-finite float raises
+    """c as a Fraction, the one reader of a caller's rational: a Fraction
+    is returned as it is, and a bool or a non-finite float raises
     InvalidParameter instead of being coerced or failing bare."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, bool):
         raise InvalidParameter(f"{what} must be rational, got {c!r}")
     try:

@@ -41,10 +41,6 @@ def _check_resolution(resolution, count=None):
         )
 
 
-def _value(v, what="step values"):
-    return v if type(v) is Fraction else rational(v, what)
-
-
 class _CellMap(Record):
     """The slot holding a step's non-zero cells, outside its fields."""
 
@@ -62,7 +58,8 @@ class DyadicStep(_CellMap):
         _check_resolution(resolution, len(values))
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "_cells", {
-            i: v for i, v in enumerate(map(_value, values)) if v})
+            i: c for i, v in enumerate(values)
+            if (c := rational(v, "step values"))})
 
     @classmethod
     def _of(cls, resolution, cells):
@@ -123,7 +120,7 @@ class DyadicStep(_CellMap):
 
 def constant_step(c, resolution=0):
     _check_resolution(resolution)
-    c = _value(c)
+    c = rational(c, "step values")
     return DyadicStep._of(
         resolution, dict.fromkeys(range(2**resolution), c) if c else {})
 
@@ -133,14 +130,14 @@ def cell_indicator(k, l, height=1):
     _check_resolution(k)
     if not (1 <= l <= 2**k):
         raise InvalidParameter(f"cell index {l} out of range for resolution {k}")
-    height = _value(height)
+    height = rational(height, "step values")
     return DyadicStep._of(k, {l - 1: height} if height else {})
 
 
 def step_linear_combination(pairs):
     """Pointwise sum of a*f over the (a, f) pairs at the common
     refinement; the zero step when there are no pairs."""
-    pairs = [(_value(a, "step coefficients"), f) for a, f in pairs]
+    pairs = [(rational(a, "step coefficients"), f) for a, f in pairs]
     r = max((f.resolution for _, f in pairs), default=0)
     acc = {}
     for a, f in pairs:
@@ -228,8 +225,8 @@ def bush_check(bush, delta, bound):
     then the norm bound on every entry.  The verdict carries the first
     failing condition and its location.
     """
-    delta = Fraction(delta)
-    bound = Fraction(bound)
+    delta = rational(delta, "delta")
+    bound = rational(bound, "bound")
     if delta <= 0:
         raise InvalidParameter("delta must be positive")
     if bound <= 0:

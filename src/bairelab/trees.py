@@ -209,17 +209,6 @@ class Segment(Record):
         object.__setattr__(self, "min_node", min_node)
         object.__setattr__(self, "max_node", max_node)
 
-    # Record's comparison and hash over direct slot reads, which cost
-    # ~50 ns less per call than its attrgetter keys.
-    def __eq__(self, other):
-        if other.__class__ is Segment:
-            return (self.min_node == other.min_node
-                    and self.max_node == other.max_node)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.min_node, self.max_node))
-
     def nodes(self):
         lo, hi = len(self.min_node), len(self.max_node)
         return tuple(self.max_node[:i] for i in range(lo, hi + 1))

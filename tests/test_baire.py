@@ -655,3 +655,36 @@ def test_float_views_beyond_binary64_raise_invalid_parameter():
         for evaluate in (baire_norm, baire_norm_witness, baire_norm_oracle):
             with pytest.raises(InvalidParameter, match="binary64 range"):
                 evaluate(x, kind, p)
+
+
+# ---------------------------------------------------------------------------
+# refusal paths and plain branches
+
+_FORK = make_tree([(), (0,), (1,)])
+_STALK = make_tree([(), (0,)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: BaireVector([(), (0,)], {}), InvalidParameter),
+    (lambda: check_incomparable_additivity(
+        [delta(_FORK, (0,))], [1, 1], L1, 1), InvalidParameter),
+    (lambda: check_incomparable_additivity([], [], L1, 1), InvalidParameter),
+    (lambda: check_incomparable_additivity(
+        [delta(_FORK, (0,)), delta(_STALK, (0,))], [1, 1], L1, 1),
+     TreeMismatch),
+    (lambda: baire_norm_witness(delta(_FORK, (0,)), L1, P_ZERO),
+     InvalidParameter),
+], ids=["vector-on-a-non-tree", "additivity-count-mismatch",
+        "additivity-no-vectors", "additivity-two-trees",
+        "witness-at-p-zero"])
+def test_malformed_library_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_vector_equality_hash_and_repr():
+    x = BaireVector(_FORK, {(1,): Fraction(1, 2), (0,): 1})
+    assert x.__eq__(_FORK) is NotImplemented and x != "x"
+    assert hash(x) == hash(BaireVector(_FORK, {(0,): 1, (1,): Fraction(1, 2)}))
+    assert repr(x) == ("BaireVector([((0,), Fraction(1, 1)), "
+                       "((1,), Fraction(1, 2))])")

@@ -96,3 +96,20 @@ def test_norm_value_rejects_bad_arguments():
     assert NormValue.exact(Fraction(5, 3), Fraction(2)) == NormValue.exact(
         Fraction(5, 3), 2
     )
+
+
+# ---------------------------------------------------------------------------
+# refusal paths and plain branches
+
+@pytest.mark.parametrize("call", [
+    lambda: basis_norm("l2", [1]),
+], ids=["basis-tag-not-a-kind"])
+def test_malformed_basis_input_is_refused(call):
+    with pytest.raises(InvalidParameter):
+        call()
+
+
+def test_approximate_scale_and_negative_thresholds():
+    assert NormValue.approximate(1.5).scale(-2) == NormValue.approximate(3.0)
+    nv = NormValue.exact(0, 2)
+    assert nv.at_least(-1) and not nv.at_most(-1) and not nv.below(-1)

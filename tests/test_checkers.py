@@ -617,3 +617,37 @@ def test_checker_outputs_are_pinned_bit_for_bit():
     for out in _checker_outputs():
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == CHECKERS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# refusal paths
+
+from functools import partial  # noqa: E402
+
+from bairelab.errors import InvalidParameter, TreeMismatch  # noqa: E402
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: VectorFamily([], StepContext()), InvalidParameter),
+    (lambda: VectorFamily(
+        [delta(make_tree([(), (0,)]), (0,)), delta(spine(2), (0,))],
+        BaireContext(L1, 1)), TreeMismatch),
+    *[(partial(check, delta_antichain_family(3, L1, 1), epsilon),
+       InvalidParameter)
+      for check in (bs_obstruction_check, abs_obstruction_falsify,
+                    weak_null_probe)
+      for epsilon in (0, F(-1, 2))],
+], ids=["empty-family", "family-on-two-trees",
+        *[f"{name}-epsilon-{e}" for name in ("bs", "abs", "weak-null")
+          for e in ("0", "-1/2")]])
+def test_malformed_checker_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_vectors_refuse_a_grid_past_the_candidate_bound(monkeypatch):
+    # 5,856 rays at size 4 against a bound of 1000: refused, not built
+    monkeypatch.setattr(checkers, "MAX_ABS_CANDIDATES", 1000)
+    trials = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
+    with pytest.raises(FamilyTooLarge):
+        trials.vectors(4)

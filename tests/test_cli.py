@@ -695,3 +695,58 @@ def test_every_command_is_byte_deterministic(capsys, tmp_path):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second, argv
+
+
+# ---------------------------------------------------------------------------
+# refusal paths
+
+def _step_family(tmp_path):
+    return write(tmp_path, "steps.json", {"steps": [
+        {"resolution": 0, "values": ["1"]},
+        {"resolution": 0, "values": ["-1"]}]})
+
+
+def _antichain(tmp_path):
+    return write(tmp_path, "fam.json",
+                 family_to_json(delta_antichain_family(2, BasisKind.L1, 1)))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["gen", "--family", "full-kary", "--k", "2"],
+    lambda tmp: ["gen", "--family", "random"],
+    lambda tmp: ["gen", "--family", "rademacher-bush"],
+    lambda tmp: ["gen", "--family", "delta-antichain", "--n", "3",
+                 "--basis", "l1"],
+    lambda tmp: ["derive", "--tree", write(
+        tmp, "t.json", tree_to_json(full_kary(2, 1))), "--times", "-1"],
+    lambda tmp: ["check-identity", "--identity", "additivity",
+                 "--family", _antichain(tmp)],
+    lambda tmp: ["check-identity", "--identity", "additivity",
+                 "--family", _step_family(tmp), "--coeffs", "1,1"],
+    lambda tmp: ["probe-wf", "--depth", "2"],
+    lambda tmp: ["probe-wf", "--depth", "2", "--lazy", "zeros-branch",
+                 "--tree", write(tmp, "t.json",
+                                 tree_to_json(full_kary(2, 1)))],
+    lambda tmp: ["probe-wf", "--depth", "2", "--lazy", "ones-branch"],
+], ids=["gen-full-kary-without-d", "gen-random-without-n",
+        "gen-bush-without-K", "gen-antichain-without-p",
+        "derive-negative-times", "additivity-without-coeffs",
+        "additivity-on-steps", "probe-wf-neither-tree-nor-lazy",
+        "probe-wf-both-tree-and-lazy", "probe-wf-unknown-lazy"])
+def test_cli_refuses_malformed_requests(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParameter"
+
+
+def test_cli_reports_an_internal_failure(capsys, tree_file, monkeypatch):
+    import bairelab.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_rank", broken)
+    code, out, err = run_cli(capsys, "rank", "--tree", tree_file)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InternalError",
+                               "message": "RuntimeError: boom"}

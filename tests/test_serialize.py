@@ -370,3 +370,15 @@ def test_canonical_json_is_pinned_bit_for_bit(tmp_path):
     for doc in _canonical_documents(tmp_path):
         digest.update(dumps_canonical(doc).encode() + b"\n")
     assert digest.hexdigest() == CANONICAL_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# refusal paths
+
+@pytest.mark.parametrize("doc", [{1: 2}, [float("inf")], {"x": object()}],
+                         ids=["non-string-key", "non-finite-float",
+                              "unserializable"])
+def test_emitter_refuses_what_json_cannot_carry(doc):
+    from bairelab.errors import ValidationError
+    with pytest.raises(ValidationError):
+        dumps_canonical(doc)

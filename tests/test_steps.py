@@ -357,3 +357,17 @@ def test_bush_check_at_k12_runs_in_under_two_cpu_seconds():
     start = time.process_time()
     assert bush_check(rademacher_bush(12), F(1, 2), 1).is_pass
     assert time.process_time() - start < 2
+
+
+# ---------------------------------------------------------------------------
+# refusal paths
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cell_indicator(2, 0), InvalidParameter),
+    (lambda: level_difference(rademacher_bush(2), 0), InvalidParameter),
+    (lambda: BushLevels(((constant_step(1),), (constant_step(1), 1))),
+     ValidationError),
+], ids=["cell-index-zero", "level-zero", "bush-entry-not-a-step"])
+def test_malformed_step_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()

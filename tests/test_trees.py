@@ -344,3 +344,28 @@ def test_probe_wf_cofinite_representative():
 def test_prefix_closure_helper():
     t = prefix_closure([(2, 1)])
     assert t.nodes == {(), (2,), (2, 1)}
+
+
+# ---------------------------------------------------------------------------
+# refusal paths and plain branches
+
+@pytest.mark.parametrize("call", [
+    lambda: random_tree(-1, 0),
+    lambda: LazyTree(lambda node: (), -1),
+], ids=["random-tree-negative-size", "lazy-tree-negative-budget"])
+def test_malformed_tree_input_is_refused(call):
+    with pytest.raises(InvalidParameter):
+        call()
+
+
+def test_empty_random_tree_and_depth_zero_probe():
+    assert len(random_tree(0, 7)) == 0
+    verdict = probe_wf(zeros_branch(), 0)
+    assert verdict.status == BRANCH_CANDIDATE and verdict.prefix == ()
+
+
+def test_tree_equality_hash_and_repr():
+    t = make_tree([(1,), (), (0,)])
+    assert t.__eq__([(), (0,), (1,)]) is NotImplemented and t != "t"
+    assert hash(t) == hash(full_kary(2, 1))
+    assert repr(t) == "FiniteTree([(), (0,), (1,)])"

@@ -537,6 +537,12 @@ def _norm_power(x, kind, p, exact):
     return nv.approx ** float(p.value)
 
 
+def _report(lhs, rhs, exact):
+    """The two sides of an identity, compared exactly or by approx_equal."""
+    return CheckReport(lhs == rhs if exact else approx_equal(lhs, rhs),
+                       lhs, rhs, exact)
+
+
 def check_incomparable_additivity(ys, coeffs, kind, p):
     """Verify ||sum a_i y_i||^p == sum |a_i|^p ||y_i||^p for vectors with
     pairwise completely incomparable supports."""
@@ -563,15 +569,12 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     exact = exact_mode(kind, p)
     combined = linear_combination(zip(coeffs, ys))
     lhs = _norm_power(combined, kind, p, exact)
-    if exact:
-        rhs = Fraction(0)
-        for a, y in zip(coeffs, ys):
-            rhs += abs(a) ** p.value.numerator * _norm_power(y, kind, p, exact)
-        return CheckReport(lhs == rhs, lhs, rhs, True)
-    rhs = 0.0
+    rhs = Fraction(0) if exact else 0.0
     for a, y in zip(coeffs, ys):
-        rhs += abs(float(a)) ** float(p.value) * _norm_power(y, kind, p, exact)
-    return CheckReport(approx_equal(lhs, rhs), lhs, rhs, False)
+        weight = (abs(a) ** p.value.numerator if exact
+                  else abs(float(a)) ** float(p.value))
+        rhs += weight * _norm_power(y, kind, p, exact)
+    return _report(lhs, rhs, exact)
 
 
 def check_branch_isometry(x, kind, p):
@@ -615,6 +618,4 @@ def check_root_decomposition(x, kind, p):
         if not coeffs:
             continue
         rhs += _norm_power(BaireVector(sub, coeffs), star, p, exact)
-    if exact:
-        return CheckReport(lhs == rhs, lhs, rhs, True)
-    return CheckReport(approx_equal(lhs, rhs), lhs, rhs, False)
+    return _report(lhs, rhs, exact)

@@ -11,7 +11,6 @@ import itertools
 import math
 import random as _random
 from fractions import Fraction
-from functools import partial
 
 from .baire import (
     BaireVector,
@@ -20,7 +19,6 @@ from .baire import (
     baire_norm_witness,
     baire_norm_zero,
     linear_combination,
-    segment_vector,
 )
 from .bases import BasisKind, NormValue
 from .errors import (
@@ -332,51 +330,6 @@ def _lp_min_norm_steps(steps):
     return tuple(sol[:w]), NormValue.exact(value, 1)
 
 
-def _witness_family(combo, context):
-    """The norm of combo and the DP's attaining family: for p = 0 its one
-    segment, or none for the zero vector."""
-    if context.p.is_zero:
-        nv, seg = baire_norm_zero(combo, context.kind, with_witness=True)
-        return nv, () if seg is None else (seg,)
-    return baire_norm_witness(combo, context.kind, context.p)
-
-
-def _attaining_cut(combo, vectors, context):
-    """The exact norm of combo, and the cut row and right-hand side of a
-    signed generating functional attaining it there.
-
-    The functional reads the DP's witness family: every node of each
-    segment in l1, each segment's largest-|coefficient| node in c0, each
-    with the sign of combo's coefficient (a node where combo vanishes is
-    left out, which still bounds the norm).  Over the weights a and the
-    bound t its row is sum_i a_i phi(vectors[i]) - t <= 0."""
-    nv, family = _witness_family(combo, context)
-    signs = {}
-    for seg in family:
-        nodes = seg.nodes()
-        if context.kind is BasisKind.C0:
-            nodes = (max(nodes, key=lambda s: abs(combo[s])),)
-        for s in nodes:
-            if combo[s]:
-                signs[s] = 1 if combo[s] > 0 else -1
-    row = [sum(sign * x[s] for s, sign in signs.items()) for x in vectors]
-    return nv.power_base, row + [Fraction(-1)], Fraction(0)
-
-
-def _block_float(block, kind):
-    """The block's norm and a subgradient of the norm there."""
-    if kind is BasisKind.L1:
-        return (sum(abs(b) for b in block),
-                [1.0 if b > 0 else (-1.0 if b < 0 else 0.0) for b in block])
-    if kind is BasisKind.L2:
-        nrm = math.sqrt(sum(b * b for b in block))
-        return nrm, [b / nrm for b in block] if nrm else [0.0] * len(block)
-    top = max(range(len(block)), key=lambda i: abs(block[i]))
-    g = [0.0] * len(block)
-    g[top] = 1.0 if block[top] >= 0 else -1.0
-    return abs(block[top]), g
-
-
 #: Outside the polyhedral contexts the loop stops once the least norm met
 #: is within BLOCK_MIN_GAP * s of its lower bound, or after MAX_BLOCK_CUTS
 #: cuts; s is the power of two nearest the uniform mean's norm.  Cuts over
@@ -387,27 +340,53 @@ _CUT_GRID = 2**30
 
 
 @within_binary64
-def _linearised_cut(combo, vectors, context, scale):
-    """The approximate norm f of combo = sum_i a_i vectors[i] and its cut
-    g.a <= t over scale, g the float subgradient of the DP's witness
-    family.  The norm is homogeneous, so the linearisation has no constant
-    term; its right-hand side 0 rounds up to 1/_CUT_GRID, which keeps the
-    LP off the origin, where it is degenerate and slower."""
-    nv, family = _witness_family(combo, context)
-    f = nv.approx
-    # p = 0 aggregates its one segment with exponent 1
-    pf = 1.0 if context.p.is_zero else float(context.p.value)
-    grad = [0.0] * len(vectors)
+def _cut(combo, vectors, context, scale):
+    """The norm f of combo = sum_i a_i vectors[i] and the cut row and
+    right-hand side of its subgradient g over the weights a and the bound
+    t: g.a - t <= b.
+
+    g is one functional {node: slope} read off the DP's witness family:
+    per segment, the signs of combo's block in l1, the sign at its first
+    largest |entry| in c0 and block / ||block|| in l2, weighted by
+    ||block||^(p - 1) and f^(1 - p) (p = 1 for p = 0).  In the polyhedral
+    contexts every weight is 1 and g is a signed generating functional
+    attaining the norm at combo: the row is exact and b = 0.  Elsewhere
+    the row is divided by scale and rounded down to multiples of
+    1/_CUT_GRID; the norm is homogeneous, so b = 0 too, rounded up to
+    1/_CUT_GRID, which keeps the LP off the origin, where it is
+    degenerate and slower."""
+    kind, exact = context.kind, context.polyhedral
+    if context.p.is_zero:
+        nv, seg = baire_norm_zero(combo, kind, with_witness=True)
+        family, pf = () if seg is None else (seg,), 1.0
+    else:
+        nv, family = baire_norm_witness(combo, kind, context.p)
+        pf = float(context.p.value)
+    f = nv.power_base if exact else nv.approx
+    slopes = {}
     for seg in family if f else ():
-        bn, g = _block_float([float(c) for c in segment_vector(combo, seg)],
-                             context.kind)
-        for i, x in enumerate(vectors):
-            inner = sum(gi * float(ci)
-                        for gi, ci in zip(g, segment_vector(x, seg)))
-            grad[i] += bn ** (pf - 1.0) * inner
+        nodes = [s for s in seg.nodes() if combo[s]]
+        if kind is BasisKind.C0:
+            nodes = [max(nodes, key=lambda s: abs(combo[s]))]
+        if exact:
+            slopes.update((s, 1 if combo[s] > 0 else -1) for s in nodes)
+            continue
+        block = [float(combo[s]) for s in nodes]
+        if kind is BasisKind.L2:
+            norm = math.sqrt(sum(b * b for b in block))
+            g = [b / norm for b in block]
+        else:
+            norm = sum(map(abs, block))
+            g = [math.copysign(1.0, b) for b in block]
+        weight = norm ** (pf - 1.0)
+        slopes.update((s, weight * gs) for s, gs in zip(nodes, g))
+    if exact:
+        row = [sum(g * x[s] for s, g in slopes.items()) for x in vectors]
+        return f, row + [Fraction(-1)], Fraction(0)
     outer = f ** (1.0 - pf) if f else 0.0
-    row = [Fraction(math.floor(outer * gi / scale * _CUT_GRID), _CUT_GRID)
-           for gi in grad]
+    row = [Fraction(math.floor(
+        outer * sum(g * float(x[s]) for s, g in slopes.items())
+        / scale * _CUT_GRID), _CUT_GRID) for x in vectors]
     return f, row + [Fraction(-1)], Fraction(1, _CUT_GRID)
 
 
@@ -416,26 +395,21 @@ def _cutting_planes(vectors, context):
     norm met of a convex combination.  The LP over the weights a and a
     bound t has one row per cut below the norm, seeded at the uniform
     mean and at each vector; each solve adds the cut at its weights.
-    Polyhedral contexts cut with _attaining_cut and stop when the exact
-    norm there is at most t; others cut with _linearised_cut and stop as
-    BLOCK_MIN_GAP says.  Ties: the uniform (Cesaro) mean when it attains
-    the least norm met, else the latest point that does."""
+    Every cut is _cut's.  Polyhedral contexts stop when the exact norm
+    there is at most t, others as BLOCK_MIN_GAP says.  Ties: the uniform
+    (Cesaro) mean when it attains the least norm met, else the latest
+    point that does."""
     w = len(vectors)
     zero, one = Fraction(0), Fraction(1)
     uniform = (Fraction(1, w),) * w
     mean = linear_combination(zip(uniform, vectors))
     exact = context.polyhedral
-    if exact:
-        cut = partial(_attaining_cut, vectors=vectors, context=context)
-    else:
-        u = context.norm(mean).approx
-        scale = 2.0 ** round(math.log2(u)) if u else 1.0
-        cut = partial(_linearised_cut, vectors=vectors, context=context,
-                      scale=scale)
+    u = 0.0 if exact else context.norm(mean).approx
+    scale = 2.0 ** round(math.log2(u)) if u else 1.0
     units = [tuple(int(j == i) for j in range(w)) for i in range(w)]
     met, cuts = [], []  # (norm, weights) and (row, right-hand side)
     for a, combo in zip([uniform] + units, [mean] + vectors):
-        value, row, b = cut(combo)
+        value, row, b = _cut(combo, vectors, context, scale)
         met.append((value, a))
         cuts.append((row, b))
     for k in itertools.count():
@@ -443,7 +417,8 @@ def _cutting_planes(vectors, context):
                           [b for _, b in cuts], [[one] * w + [zero]], [one])
         a = tuple(sol[:w]) if exact else tuple(
             x.limit_denominator(10**12) for x in sol[:w])
-        value, row, b = cut(linear_combination(zip(a, vectors)))
+        value, row, b = _cut(linear_combination(zip(a, vectors)), vectors,
+                             context, scale)
         met.append((value, a))
         least = min(v for v, _ in met)
         if exact and value <= t or not exact and (

@@ -69,15 +69,16 @@ class InvalidParameter(BaireLabError):
 
 def rational(c, what="coefficients"):
     """c as a Fraction, the one reader of a caller's rational: a Fraction
-    is returned as it is, and a bool or a non-finite float raises
-    InvalidParameter instead of being coerced or failing bare."""
+    is returned as it is, and a bool, a non-finite float or anything
+    Fraction cannot read raises InvalidParameter instead of being coerced
+    or failing bare."""
     if type(c) is Fraction:
         return c
     if isinstance(c, bool):
         raise InvalidParameter(f"{what} must be rational, got {c!r}")
     try:
         return Fraction(c)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
         raise InvalidParameter(f"{what} must be rational, got {c!r}") from None
 
 

@@ -22,6 +22,7 @@ from bairelab import (
     convex_block_min,
     delta,
     delta_antichain_family,
+    linear_combination,
     make_tree,
     prefix_closure,
     random_tree,
@@ -527,6 +528,56 @@ def test_linearised_cuts_stop_at_the_cut_cap(monkeypatch):
         VectorFamily(vectors, BaireContext(L2, 2)), (0, 3))
     # a gap of 0 is never met here, so the cap alone stops the loop
     assert len(solves) == checkers.MAX_BLOCK_CUTS + 1
+
+
+#: every context a cut is built in: the four polyhedral ones, then four
+#: linearised ones (smooth, single-segment and non-integer p)
+CUT_CONTEXTS = ((L1, P_ZERO), (L1, 1), (C0, P_ZERO), (C0, 1),
+                (L2, P_ZERO), (L2, 2), (L1, F(3, 2)), (C0, 2))
+
+
+def _simplex_point(rng, w):
+    """A seeded rational point of the probability simplex."""
+    raw = [rng.randint(0, 8) for _ in range(w)]
+    raw[rng.randrange(w)] += 1
+    return tuple(F(r, sum(raw)) for r in raw)
+
+
+def test_every_cut_stays_below_the_norm():
+    # README's lower bound: a polyhedral row is at most the exact norm at
+    # every simplex point, with equality at the cut's own point; a
+    # linearised row less its right-hand side is at most the norm over s
+    rng = seeded_rng(1900)
+    checks = 0
+    for seed in range(40):
+        tree = random_tree(rng.randint(1, 10), seed)
+        for kind, p in CUT_CONTEXTS:
+            ctx = BaireContext(kind, p)
+            w = rng.randint(2, 4)
+            vectors = [random_rational_vector(tree, rng, allow_zero=True)
+                       for _ in range(w)]
+            u = ctx.norm(linear_combination(
+                zip((F(1, w),) * w, vectors))).approx
+            scale = 2.0 ** round(math.log2(u)) if u else 1.0
+            for _ in range(3):
+                a = _simplex_point(rng, w)
+                combo = linear_combination(zip(a, vectors))
+                value, row, b = checkers._cut(combo, vectors, ctx, scale)
+                assert row[-1] == -1
+                if ctx.polyhedral:
+                    assert b == 0
+                    assert value == ctx.norm(combo).power_base
+                    assert sum(r * c for r, c in zip(row, a)) == value
+                for _ in range(6):
+                    c = _simplex_point(rng, w)
+                    nv = ctx.norm(linear_combination(zip(c, vectors)))
+                    lhs = sum(r * ci for r, ci in zip(row, c))
+                    if ctx.polyhedral:
+                        assert lhs <= nv.power_base
+                    else:
+                        assert lhs - b <= F(nv.approx) / F(scale)
+                    checks += 1
+    assert checks == 40 * len(CUT_CONTEXTS) * 3 * 6
 
 
 def test_weak_null_probe_examples():

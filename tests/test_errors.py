@@ -1,6 +1,7 @@
 """errors.rational is the one reader of a caller's rational: every
-library parameter that takes one refuses a bool, a NaN and an infinity
-with InvalidParameter instead of coercing it or failing bare."""
+library parameter that takes one refuses a bool, a NaN, an infinity and
+anything Fraction cannot read (None, "1/0", a list) with
+InvalidParameter instead of coercing it or failing bare."""
 
 from fractions import Fraction as F
 
@@ -63,11 +64,14 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, float("nan"), float("inf")],
-                         ids=["true", "nan", "inf"])
+@pytest.mark.parametrize(
+    "value", [True, float("nan"), float("inf"), None, "1/0", [1]],
+    ids=["true", "nan", "inf", "none", "one-over-zero", "list"])
 @pytest.mark.parametrize("reader", list(READERS.values()), ids=list(READERS))
-def test_every_rational_parameter_refuses_bools_and_non_finite_floats(
+def test_every_rational_parameter_refuses_what_is_not_a_rational(
         reader, value):
+    """A bool, a non-finite float, None, a zero-denominator string and a
+    list each raise InvalidParameter from every reader."""
     with pytest.raises(InvalidParameter, match="must be rational"):
         reader(value)
 

@@ -109,56 +109,65 @@ class BaireVector:
     """A finitely supported rational coefficient assignment on a tree.
 
     Zero coefficients are normalized away; every keyed node must belong
-    to the tree.  Instances are immutable.
+    to the tree.  Instances are immutable.  The one stored form is
+    scaled(): integer numerators over the least common denominator of
+    the reduced coefficients, 1 for the zero vector, so equal vectors
+    have equal forms; coeffs and x[node] build Fractions on read.
     """
 
-    __slots__ = ("tree", "_coeffs", "_closure", "_scaled", "_hash")
+    __slots__ = ("tree", "_form", "_closure", "_hash")
 
     def __init__(self, tree, coeffs):
         if not isinstance(tree, FiniteTree):
             raise InvalidParameter("tree must be a FiniteTree")
-        clean = {}
+        ratios = {}
         for node, c in dict(coeffs).items():
             node = tuple(node)
             if node not in tree:
                 raise InvalidParameter(f"coefficient node {node} not in tree")
-            # the Fraction test stays inline: calling rational(c) for every
-            # coefficient cost ~0.4 us per 9-coefficient vector, ~2% of a mix
-            c = c if type(c) is Fraction else rational(c)
-            if c:
-                clean[node] = c
+            ratios[node] = rational(c).as_integer_ratio()
+        # a zero's denominator is 1, so it leaves the lcm as it is
+        d = math.lcm(*(q for _, q in ratios.values()))
         self.tree = tree
-        self._coeffs = clean
-        self._closure = None
-        self._scaled = None
-        self._hash = None
+        self._form = (d, {n: a * (d // q)
+                          for n, (a, q) in ratios.items() if a})
+        self._closure = self._hash = None
+
+    @classmethod
+    def _of(cls, tree, d, ints):
+        """The vector on tree with scaled() = (d, ints), a canonical form."""
+        x = object.__new__(cls)
+        x.tree, x._form, x._closure, x._hash = tree, (d, ints), None, None
+        return x
 
     @property
     def coeffs(self):
-        return MappingProxyType(self._coeffs)
+        d, ints = self._form
+        return MappingProxyType({n: Fraction(v, d) for n, v in ints.items()})
 
     @property
     def support(self):
-        return frozenset(self._coeffs)
+        return frozenset(self._form[1])
 
     def __getitem__(self, node):
-        return self._coeffs.get(tuple(node), Fraction(0))
+        return Fraction(self._form[1].get(tuple(node), 0), self._form[0])
 
     def __eq__(self, other):
         if not isinstance(other, BaireVector):
             return NotImplemented
-        return self.tree == other.tree and self._coeffs == other._coeffs
+        return self.tree == other.tree and self._form == other._form
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.tree, frozenset(self._coeffs.items())))
+            d, ints = self._form
+            self._hash = hash((self.tree, d, frozenset(ints.items())))
         return self._hash
 
     def is_zero(self):
-        return not self._coeffs
+        return not self._form[1]
 
     def __repr__(self):
-        items = sorted(self._coeffs.items(), key=lambda kv: node_key(kv[0]))
+        items = sorted(self.coeffs.items(), key=lambda kv: node_key(kv[0]))
         return f"BaireVector({items!r})"
 
     def support_closure(self):
@@ -166,18 +175,13 @@ class BaireVector:
         when the support is all of it, so its order and compiled form are
         shared."""
         if self._closure is None:
-            self._closure = (self.tree if len(self._coeffs) == len(self.tree)
-                             else prefix_closure(self._coeffs))
+            self._closure = (self.tree if len(self._form[1]) == len(self.tree)
+                             else prefix_closure(self._form[1]))
         return self._closure
 
     def scaled(self):
-        """(denominator, integer coefficients): coeffs[n] = ints[n]/D."""
-        if self._scaled is None:
-            d = math.lcm(*(c.denominator for c in self._coeffs.values())) \
-                if self._coeffs else 1
-            ints = {n: int(c * d) for n, c in self._coeffs.items()}
-            self._scaled = (d, ints)
-        return self._scaled
+        """The stored form (d, ints): coeffs[n] = ints[n] / d."""
+        return self._form
 
 
 def delta(tree, node, c=1):
@@ -214,14 +218,9 @@ def linear_combination(pairs):
         f = num * (d // den)
         for n, c in ints.items():
             out[n] = out.get(n, 0) + f * c
-    out = {n: v for n, v in out.items() if v}
     g = math.gcd(d, *out.values())
-    if g > 1:
-        d //= g
-        out = {n: v // g for n, v in out.items()}
-    vec = BaireVector(tree, {n: Fraction(v, d) for n, v in out.items()})
-    vec._scaled = (d, out)
-    return vec
+    return BaireVector._of(tree, d // g,
+                           {n: v // g for n, v in out.items() if v})
 
 
 def segment_vector(x, segment):
@@ -242,7 +241,7 @@ def _segment_dp(x, kind, p, *, witness):
     """The one post-order pass behind baire_norm, baire_norm_witness and
     baire_norm_zero.
 
-    Exact mode runs on x.scaled() integers, binary64 mode on float(c).
+    Exact mode runs on x.scaled() = (d, ints), binary64 mode on ints / d.
     Nodes are indexed as in the closure's compiled(): in node_key order,
     so every parent precedes its children.  Per node i:
 
@@ -269,17 +268,14 @@ def _segment_dp(x, kind, p, *, witness):
     if not isinstance(kind, BasisKind):
         raise InvalidParameter(f"unknown basis kind {kind!r}")
     exact = exact_mode(kind, p)
-    coeffs = x._coeffs
+    d, ints = x.scaled()
     # the zero vector runs as a lone root without coefficient
     order, _, kids = (x.support_closure() or prefix_closure([()])).compiled()
     n = len(order)
-    if exact:
-        d, ints = x.scaled()
-        coef = [ints.get(v, 0) for v in order]
-        zero = 0
-    else:
-        coef = [float(coeffs[v]) if v in coeffs else 0.0 for v in order]
-        zero = 0.0
+    coef = [ints.get(v, 0) for v in order]
+    if not exact:
+        coef = [c / d for c in coef]
+    zero = 0 if exact else 0.0
 
     is_l2 = kind is BasisKind.L2
     is_c0 = kind is BasisKind.C0
@@ -322,7 +318,7 @@ def _segment_dp(x, kind, p, *, witness):
         # in c0 that holds as soon as |a| reaches the best extension
         acc[i] = m
         end[i] = i if stop else e_end
-        if order[i] in coeffs:
+        if order[i] in ints:
             first[i] = i
         else:
             first[i] = -1 if stop else first[via]
@@ -407,20 +403,20 @@ def baire_norm_zero(x, kind, *, with_witness=False):
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
-def _trim_segment(x, min_node, max_node):
-    """Trim a chain to its support endpoints; None if support-free."""
+def _trim_segment(ints, min_node, max_node):
+    """Trim a chain to the support endpoints of ints; None if support-free."""
     chain = [max_node[:i] for i in range(len(min_node), len(max_node) + 1)]
-    carriers = [n for n in chain if x[n] != 0]
+    carriers = [n for n in chain if n in ints]
     if not carriers:
         return None
     return Segment(carriers[0], carriers[-1])
 
 
-def _trimmed_family(x, fam):
+def _trimmed_family(ints, fam):
     """fam trimmed by _trim_segment, support-free segments dropped, in
     the oracle's tie order, and its key in that order: (node_key(min),
     node_key(max)) per segment."""
-    trimmed = (_trim_segment(x, a, v) for a, v in fam)
+    trimmed = (_trim_segment(ints, a, v) for a, v in fam)
     keyed = sorted((((node_key(s.min_node), node_key(s.max_node)), s)
                     for s in trimmed if s is not None), key=lambda ks: ks[0])
     return tuple(s for _, s in keyed), tuple(k for k, _ in keyed)
@@ -514,7 +510,7 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
         ):
             continue
         if with_witness:
-            fam_w, fam_key = _trimmed_family(x, fam)
+            fam_w, fam_key = _trimmed_family(x.scaled()[1], fam)
             if val == total and fam_key >= key:
                 continue
             family, key = fam_w, fam_key

@@ -363,15 +363,16 @@ def _cut(combo, vectors, context, scale):
         nv, family = baire_norm_witness(combo, kind, context.p)
         pf = float(context.p.value)
     f = nv.power_base if exact else nv.approx
+    d, ints = combo.scaled()
     slopes = {}
     for seg in family if f else ():
-        nodes = [s for s in seg.nodes() if combo[s]]
+        nodes = [s for s in seg.nodes() if s in ints]
         if kind is BasisKind.C0:
-            nodes = [max(nodes, key=lambda s: abs(combo[s]))]
+            nodes = [max(nodes, key=lambda s: abs(ints[s]))]
         if exact:
-            slopes.update((s, 1 if combo[s] > 0 else -1) for s in nodes)
+            slopes.update((s, 1 if ints[s] > 0 else -1) for s in nodes)
             continue
-        block = [float(combo[s]) for s in nodes]
+        block = [ints[s] / d for s in nodes]
         if kind is BasisKind.L2:
             norm = math.sqrt(sum(b * b for b in block))
             g = [b / norm for b in block]
@@ -380,13 +381,15 @@ def _cut(combo, vectors, context, scale):
             g = [math.copysign(1.0, b) for b in block]
         weight = norm ** (pf - 1.0)
         slopes.update((s, weight * gs) for s, gs in zip(nodes, g))
+    forms = [x.scaled() for x in vectors]
     if exact:
-        row = [sum(g * x[s] for s, g in slopes.items()) for x in vectors]
+        row = [Fraction(sum(slopes.get(s, 0) * v for s, v in xs.items()), dx)
+               for dx, xs in forms]
         return f, row + [Fraction(-1)], Fraction(0)
     outer = f ** (1.0 - pf) if f else 0.0
     row = [Fraction(math.floor(
-        outer * sum(g * float(x[s]) for s, g in slopes.items())
-        / scale * _CUT_GRID), _CUT_GRID) for x in vectors]
+        outer * sum(g * (xs.get(s, 0) / dx) for s, g in slopes.items())
+        / scale * _CUT_GRID), _CUT_GRID) for dx, xs in forms]
     return f, row + [Fraction(-1)], Fraction(1, _CUT_GRID)
 
 

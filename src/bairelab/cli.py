@@ -62,6 +62,32 @@ _window = _arg(parse_window)
 MAX_CLI_BUSH_K = 10
 
 
+#: Most tree nodes `gen` builds.  MAX_DEPTH bounds a node's length, not the
+#: k^(d+1) nodes of a full k-ary tree.  At 2^17 nodes full-kary and random
+#: take 1-2 s and ~70 MB, delta-antichain 4 s and 145 MB, and each
+#: doubling doubles that.
+MAX_CLI_TREE_NODES = 2**17
+
+
+def _check_cli_tree_nodes(family, count):
+    if count > MAX_CLI_TREE_NODES:
+        raise InvalidParameter(
+            f"the command line builds trees of at most {MAX_CLI_TREE_NODES} "
+            f"nodes; this {family} tree has more")
+
+
+def _full_kary_nodes(k, d):
+    """The node count (k^(d+1) - 1)/(k - 1) of full_kary(k, d), d + 1 when
+    k = 1, summed level by level until it passes MAX_CLI_TREE_NODES."""
+    count = level = 1
+    for _ in range(d):
+        level *= k
+        count += level
+        if count > MAX_CLI_TREE_NODES:
+            break
+    return count
+
+
 def _check_cli_bush_k(K):
     if K > MAX_CLI_BUSH_K:
         raise KOutOfRange(
@@ -97,7 +123,9 @@ def _cmd_derive(args):
     tree = _load_tree(args.tree)
     if args.times < 0:
         raise InvalidParameter("--times must be nonnegative")
-    for _ in range(args.times):
+    # every derivation past the order index (<= len(tree)) repeats the
+    # empty tree
+    for _ in range(min(args.times, len(tree))):
         tree = derived_tree(tree)
     return serialize.tree_to_json(tree)
 
@@ -122,7 +150,9 @@ def _cmd_gen(args):
     if family == "full-kary":
         if args.k is None or args.d is None:
             raise InvalidParameter("full-kary needs --k and --d")
-        from .trees import full_kary
+        from .trees import MAX_DEPTH, full_kary
+        if args.k >= 1 and args.d <= MAX_DEPTH:  # else full_kary refuses
+            _check_cli_tree_nodes(family, _full_kary_nodes(args.k, args.d))
         return serialize.tree_to_json(full_kary(args.k, args.d))
     elif family == "spine":
         if args.d is None:
@@ -132,6 +162,7 @@ def _cmd_gen(args):
     elif family == "random":
         if args.n is None:
             raise InvalidParameter("random needs --n")
+        _check_cli_tree_nodes(family, args.n)
         from .trees import random_tree
         return serialize.tree_to_json(random_tree(args.n, args.seed))
     elif family == "rademacher-bush":
@@ -143,6 +174,7 @@ def _cmd_gen(args):
     else:  # delta-antichain; argparse's choices admit nothing else
         if args.n is None or args.basis is None or args.p is None:
             raise InvalidParameter("delta-antichain needs --n, --basis and --p")
+        _check_cli_tree_nodes(family, args.n + 1)
         from .checkers import delta_antichain_family
         fam = delta_antichain_family(args.n, args.basis, args.p)
         return serialize.family_to_json(fam)

@@ -106,7 +106,7 @@ class FiniteTree:
     def __eq__(self, other):
         if not isinstance(other, FiniteTree):
             return NotImplemented
-        return self._nodes == other._nodes
+        return self is other or self._nodes == other._nodes
 
     def __hash__(self):
         if self._hash is None:
@@ -382,12 +382,17 @@ def probe_wf(lazy, depth):
 
     Returns BranchCandidate(prefix) for the lexicographically least chain
     of length `depth` if one exists, else WellFoundedCertified.  Raises
-    BudgetExceeded when depth exceeds the tree's declared budget.
+    BudgetExceeded when depth exceeds the tree's declared budget and
+    InvalidParameter when it lies outside [0, MAX_DEPTH], before any
+    node is explored.
     """
     if depth > lazy.depth_budget:
         raise BudgetExceeded(
             f"requested depth {depth} exceeds budget {lazy.depth_budget}"
         )
+    if not 0 <= depth <= MAX_DEPTH:
+        raise InvalidParameter(
+            f"probe depth {depth} outside [0, {MAX_DEPTH}]")
     if depth == 0:
         return ProbeVerdict(BRANCH_CANDIDATE, ())
     stack = [()]

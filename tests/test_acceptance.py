@@ -8,10 +8,12 @@ test documents the shortfall and fails honestly with progress statistics
 after validating everything it had time for.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from bairelab import (
     BaireVector,
@@ -56,6 +58,7 @@ from util import (
     tree_shapes,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 F = Fraction
 L1, L2, C0 = BasisKind.L1, BasisKind.L2, BasisKind.C0
 EXACT_PAIRS = [(L1, 1), (L1, 2), (C0, 1), (C0, 2), (L2, 2)]
@@ -312,10 +315,14 @@ def test_criterion_7_norm_axioms():
 
 
 def _run_cli(argv):
+    path = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "bairelab.cli", *argv],
         capture_output=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout
 

@@ -180,6 +180,25 @@ def test_linear_combination_scaled_matches_its_coefficients():
                             (0, BaireVector(spine(1), {}))])
 
 
+def test_a_vector_stores_only_its_scaled_form():
+    # one canonical form, whether the vector was read from Fractions or
+    # mixed: integer numerators over the lcm of the reduced denominators
+    assert not {"_coeffs", "_scaled"} & set(BaireVector.__slots__)
+    for v in _pinned_combinations():
+        d, ints = v.scaled()
+        assert v.scaled() is v.scaled()
+        assert d > 0 and math.gcd(d, *ints.values()) == 1
+        assert all(ints.values())
+        rebuilt = BaireVector(v.tree, v.coeffs)
+        assert rebuilt.scaled() == v.scaled() and rebuilt == v
+        assert hash(rebuilt) == hash(v)
+        assert all(v[n] == c for n, c in v.coeffs.items())
+    x = delta(FORK, (0,), Fraction(2, 3))
+    assert x.scaled() == (3, {(0,): 2}) and x[(1,)] == 0
+    assert BaireVector(FORK, {(0,): 0}).scaled() == (1, {})
+    assert linear_combination([(1, x), (-1, x)]).scaled() == (1, {})
+
+
 def test_full_support_closure_is_the_tree_itself():
     tree = random_tree(30, 4)
     full = BaireVector(tree, {n: i + 1 for i, n in enumerate(tree)})

@@ -543,6 +543,30 @@ def _simplex_point(rng, w):
     return tuple(F(r, sum(raw)) for r in raw)
 
 
+def test_an_exact_cut_row_reads_each_vector_over_its_own_support():
+    # every entry is a Fraction, also where the functional misses the
+    # vector, and a wide sparse window stays cheap
+    tree = prefix_closure([(0,), (1,)])
+    vectors = [delta(tree, (0,)), delta(tree, (1,), F(1, 3))]
+    value, row, b = checkers._cut(vectors[0], vectors, BaireContext(L1, 1),
+                                  1.0)
+    assert (value, row, b) == (1, [1, 0, -1], 0)
+    assert all(type(r) is Fraction for r in row)
+    start = time.process_time()
+    a, least = convex_block_min(delta_antichain_family(320, C0, 1), (0, 319))
+    assert time.process_time() - start < 1.0
+    assert a == (F(1, 320),) * 320 and least.power_base == 1
+
+
+def test_a_large_antichain_family_builds_in_linear_time():
+    # every vector's tree is the first's own object, so checking that
+    # they share it costs no walk over the nodes
+    start = time.process_time()
+    fam = delta_antichain_family(20_000, L1, 1)
+    assert time.process_time() - start < 2.0
+    assert len(fam) == 20_000 and len(fam.vectors[0].tree) == 20_001
+
+
 def test_every_cut_stays_below_the_norm():
     # README's lower bound: a polyhedral row is at most the exact norm at
     # every simplex point, with equality at the cut's own point; a

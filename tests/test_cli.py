@@ -739,6 +739,74 @@ def test_cli_refuses_malformed_requests(capsys, tmp_path, argv):
     assert json.loads(err)["error"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("source, depth, budget", [
+    (["--lazy", "zeros-branch"], -1, 64),
+    (["--lazy", "zeros-branch"], 100_000, 100_000),
+    (None, -2, 64),
+])
+def test_probe_wf_refuses_a_depth_outside_its_range(capsys, tree_file,
+                                                    source, depth, budget):
+    source = source or ["--tree", tree_file]
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "probe-wf", *source, "--depth",
+                             str(depth), "--budget", str(budget))
+    assert time.process_time() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InvalidParameter",
+        "message": f"probe depth {depth} outside [0, 4096]"}
+
+
+def test_derive_stops_once_the_tree_is_empty(capsys, tmp_path):
+    path = write(tmp_path, "t.json", tree_to_json(make_tree([(), (0,)])))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "derive", "--tree", path,
+                           "--times", "3000000")
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert out == run_cli(capsys, "derive", "--tree", path, "--times", "2")[1]
+    assert json.loads(out) == tree_to_json(make_tree([]))
+
+
+def test_gen_refuses_a_tree_past_the_node_bound(capsys, monkeypatch):
+    # at the bound every family builds; one node past it, nothing is built
+    import bairelab.cli as cli
+    assert cli.MAX_CLI_TREE_NODES == 2**17
+    monkeypatch.setattr(cli, "MAX_CLI_TREE_NODES", 15)
+    at_bound = [["--family", "full-kary", "--k", "2", "--d", "3"],
+                ["--family", "full-kary", "--k", "1", "--d", "14"],
+                ["--family", "random", "--n", "15"],
+                ["--family", "delta-antichain", "--n", "14",
+                 "--basis", "l1", "--p", "1"]]
+    past = [["--family", "full-kary", "--k", "2", "--d", "4"],
+            ["--family", "full-kary", "--k", "1", "--d", "15"],
+            ["--family", "full-kary", "--k", "15", "--d", "4096"],
+            ["--family", "random", "--n", "16"],
+            ["--family", "delta-antichain", "--n", "15",
+             "--basis", "l1", "--p", "1"]]
+    for argv in at_bound:
+        assert run_cli(capsys, "gen", *argv)[0] == 0, argv
+    for argv in past:
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err) == {
+            "error": "InvalidParameter",
+            "message": "the command line builds trees of at most 15 nodes; "
+                       f"this {argv[1]} tree has more"}
+
+
+def test_gen_builds_a_random_tree_at_the_node_bound(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--family", "random",
+                           "--n", str(2**17))
+    assert code == 0 and len(json.loads(out)["nodes"]) == 2**17
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "gen", "--family", "random",
+                             "--n", str(2**17 + 1))
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParameter"
+
+
 def test_cli_reports_an_internal_failure(capsys, tree_file, monkeypatch):
     import bairelab.cli as cli
 

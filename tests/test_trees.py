@@ -320,6 +320,31 @@ def test_probe_wf_budget():
         probe_wf(lazy, 6)
 
 
+def test_probe_wf_refuses_a_depth_outside_its_range():
+    # refused before any node is explored, whatever the budget allows
+    for depth in (-1, -2, MAX_DEPTH + 1, 100_000):
+        start = time.process_time()
+        with pytest.raises(InvalidParameter, match="outside"):
+            probe_wf(zeros_branch(depth_budget=10**6), depth)
+        assert time.process_time() - start < 0.5
+    with pytest.raises(InvalidParameter, match="outside"):
+        probe_wf(lazy_from_tree(full_kary(2, 1)), -2)
+    with pytest.raises(BudgetExceeded):
+        probe_wf(zeros_branch(), MAX_DEPTH + 1)
+    verdict = probe_wf(zeros_branch(depth_budget=MAX_DEPTH), MAX_DEPTH)
+    assert verdict.prefix == (0,) * MAX_DEPTH
+
+
+def test_derivations_past_the_tree_size_leave_it_empty():
+    # derive stops after min(times, len(tree)) derivations: the order
+    # index never exceeds the node count
+    rng = seeded_rng(11)
+    for _ in range(30):
+        t = random_tree(rng.randint(0, 20), rng.randint(0, 10**6))
+        assert order_index(t) <= len(t)
+    assert order_index(spine(7)) == len(spine(7))
+
+
 def test_probe_wf_on_finite_tree():
     t = full_kary(2, 3)
     assert probe_wf(lazy_from_tree(t), 10).is_certified

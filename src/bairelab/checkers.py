@@ -34,14 +34,15 @@ from .errors import (
     rational,
     within_binary64,
 )
-from .simplex import solve_lp
+from .simplex import Tableau
 from .steps import l1_norm, step_linear_combination
 from .trees import prefix_closure
 from .verdicts import Verdict
 
-#: Most cells of the common resolution the step LP is built over: its
-#: 2 * cells rows by cells + w columns take ~3.5 s at 64 cells and w = 8,
-#: and about 7x that per further level.
+#: Most cells of the common resolution a step window is solved over.  Its
+#: cost follows the window's width more than its cells: w dense integer
+#: steps take 0.07-0.10 s at w = 8 and 1.5-1.9 s at w = 16 on 64 cells,
+#: and ~0.25 and ~0.55 s at w = 8, 4-9 s at w = 16, on 128 and 256 cells.
 MAX_STEP_LP_CELLS = 2**6
 
 #: Hard cap on exhaustive obstruction checking.
@@ -306,30 +307,6 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
 # ---------------------------------------------------------------------------
 # convex block minimization
 
-def _lp_min_norm_steps(steps):
-    """The step LP: with u_j >= |sum_i a_i f_i(j)| for every cell j of the
-    common resolution and sum a = 1, minimize the mean of the u's."""
-    res = max(f.resolution for f in steps)
-    cells = 2**res
-    if cells > MAX_STEP_LP_CELLS:
-        raise FunctionalSetTooLarge(
-            f"steps of resolution {res}: the step LP is capped at "
-            f"{MAX_STEP_LP_CELLS} cells"
-        )
-    w = len(steps)
-    zero, one = Fraction(0), Fraction(1)
-    a_ub = []
-    for j, col in enumerate(zip(*(f.refine(res).values for f in steps))):
-        for sign in (1, -1):
-            row = [sign * x for x in col] + [zero] * cells
-            row[w + j] = -one
-            a_ub.append(row)
-    value, sol = solve_lp([zero] * w + [Fraction(1, cells)] * cells, a_ub,
-                          [zero] * len(a_ub), [[one] * w + [zero] * cells],
-                          [one])
-    return tuple(sol[:w]), NormValue.exact(value, 1)
-
-
 #: Outside the polyhedral contexts the loop stops once the least norm met
 #: is within BLOCK_MIN_GAP * s of its lower bound, or after MAX_BLOCK_CUTS
 #: cuts; s is the power of two nearest the uniform mean's norm.  Cuts over
@@ -397,13 +374,12 @@ def _cutting_planes(vectors, context):
     """Kelley's cutting planes (J. SIAM 8, 1960): the weights and least
     norm met of a convex combination.  The LP over the weights a and a
     bound t has one row per cut below the norm, seeded at the uniform
-    mean and at each vector; each solve adds the cut at its weights.
-    Every cut is _cut's.  Polyhedral contexts stop when the exact norm
-    there is at most t, others as BLOCK_MIN_GAP says.  Ties: the uniform
-    (Cesaro) mean when it attains the least norm met, else the latest
-    point that does."""
+    mean and at each vector; each solve adds its cut, and the Tableau
+    resumes.  Every cut is _cut's.  Polyhedral contexts stop when the
+    exact norm there is at most t, others as BLOCK_MIN_GAP says.  Ties:
+    the uniform (Cesaro) mean when it attains the least norm met, else
+    the latest point that does."""
     w = len(vectors)
-    zero, one = Fraction(0), Fraction(1)
     uniform = (Fraction(1, w),) * w
     mean = linear_combination(zip(uniform, vectors))
     exact = context.polyhedral
@@ -415,9 +391,9 @@ def _cutting_planes(vectors, context):
         value, row, b = _cut(combo, vectors, context, scale)
         met.append((value, a))
         cuts.append((row, b))
+    lp = Tableau([0] * w + [1], *zip(*cuts), [[1] * w + [0]], [1])
     for k in itertools.count():
-        t, sol = solve_lp([zero] * w + [one], [r for r, _ in cuts],
-                          [b for _, b in cuts], [[one] * w + [zero]], [one])
+        t, sol = lp.optimum()
         a = tuple(sol[:w]) if exact else tuple(
             x.limit_denominator(10**12) for x in sol[:w])
         value, row, b = _cut(linear_combination(zip(a, vectors)), vectors,
@@ -428,7 +404,7 @@ def _cutting_planes(vectors, context):
                 least - float(t) * scale <= BLOCK_MIN_GAP * scale
                 or k == MAX_BLOCK_CUTS):
             break
-        cuts.append((row, b))
+        lp.add_row(row, b)
     # the uniform mean first, then the latest point
     return next(a for v, a in met[:1] + met[::-1] if v == least), least
 
@@ -439,8 +415,8 @@ def convex_block_min(family, window):
     window = (start, length) covers vectors start..start+length
     inclusive, length + 1 of them, and returns one coefficient each.
 
-    Dyadic-step families are solved exactly by one LP over their cells,
-    coefficient families by _cutting_planes: exactly over rationals in
+    Every family is solved by _cutting_planes, a dyadic-step family as
+    vectors of its cell values, exactly over rationals for steps and in
     the polyhedral contexts (summable or sup ingredient with p in
     {1, 0}).  Elsewhere the result is float weights and the approximate
     norm of their combination (each weight read within 1e-12), an upper
@@ -454,7 +430,17 @@ def convex_block_min(family, window):
     vectors = list(family.vectors[start : start + length + 1])
     ctx = family.context
     if isinstance(ctx, StepContext):
-        return _lp_min_norm_steps(vectors)
+        # the cell values over 2^r on an antichain of the 2^r cells of the
+        # common resolution r, where the l1, p = 1 norm is the L1 norm
+        res = max(f.resolution for f in vectors)
+        if 2**res > MAX_STEP_LP_CELLS:
+            raise FunctionalSetTooLarge(
+                f"steps of resolution {res}: over {MAX_STEP_LP_CELLS} cells")
+        tree = prefix_closure([(c,) for c in range(2**res)])
+        vectors = [BaireVector(tree, {(c,): v / 2**res for c, v
+                                      in f.refine(res).cells().items()})
+                   for f in vectors]
+        ctx = BaireContext(BasisKind.L1, 1)
     a, least = _cutting_planes(vectors, ctx)
     if ctx.polyhedral:
         return a, NormValue.exact(least, 1)

@@ -120,14 +120,8 @@ def _cmd_rank(args):
 
 def _cmd_derive(args):
     from .trees import derived_tree
-    tree = _load_tree(args.tree)
-    if args.times < 0:
-        raise InvalidParameter("--times must be nonnegative")
-    # every derivation past the order index (<= len(tree)) repeats the
-    # empty tree
-    for _ in range(min(args.times, len(tree))):
-        tree = derived_tree(tree)
-    return serialize.tree_to_json(tree)
+    return serialize.tree_to_json(derived_tree(_load_tree(args.tree),
+                                              args.times))
 
 
 def _cmd_norm(args):

@@ -159,24 +159,20 @@ def prefix_closure(nodes):
     return FiniteTree(closed, _validated=True)
 
 
-def derived_tree(tree):
-    """Nodes of `tree` having a proper extension in `tree`.
-
-    In a prefix-closed set a node has a proper extension exactly when it
-    has a child, so the derived tree is the set of parents.
-    """
-    return FiniteTree(
-        {n[:-1] for n in tree.nodes if n}, _validated=True
-    )
+def derived_tree(tree, times=1):
+    """`tree` derived `times` times, each derivation keeping the nodes
+    with a proper extension: in a prefix-closed set, the prefixes
+    n[:len(n) - times] of the nodes n at least `times` long."""
+    if times < 0:
+        raise InvalidParameter(f"times must be nonnegative, got {times}")
+    return FiniteTree({n[:len(n) - times] for n in tree.nodes
+                       if len(n) >= times}, _validated=True)
 
 
 def order_index(tree):
-    """Number of derivations until the tree is empty; 0 iff already empty."""
-    count = 0
-    while len(tree):
-        tree = derived_tree(tree)
-        count += 1
-    return count
+    """Number of derivations until the tree is empty, 0 iff already
+    empty: the greatest node length plus one."""
+    return max(map(len, tree.nodes), default=-1) + 1
 
 
 def subtree_at(tree, k):

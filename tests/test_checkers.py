@@ -31,7 +31,7 @@ from bairelab import (
 )
 from bairelab.baire import ExponentP
 from bairelab.bases import approx_equal
-from bairelab.simplex import solve_lp
+from bairelab.simplex import Tableau
 from bairelab import checkers
 from bairelab.errors import (
     BadIndexList,
@@ -261,6 +261,7 @@ from util import (  # noqa: E402
     grid_min,
     random_rational_vector,
     reference_block_min,
+    reference_step_block_min,
     seeded_rng,
     simplex_grid,
 )
@@ -394,6 +395,22 @@ def test_convex_block_min_step_family():
     assert list(coeffs) == [F(1, 2), F(1, 2)]
 
 
+def test_step_windows_meet_the_cell_lp():
+    # seeded windows of rational steps at mixed resolutions: the loop's
+    # least norm is the cell LP's, attained at its weights
+    rng = seeded_rng(2203)
+    for _ in range(40):
+        res, w = rng.randint(1, 4), rng.randint(2, 5)
+        steps = [DyadicStep(r, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                     for _ in range(2**r)))
+                 for r in (rng.randint(0, res) for _ in range(w))]
+        fam = VectorFamily(steps, StepContext())
+        coeffs, value = convex_block_min(fam, (0, w - 1))
+        assert value.equals(reference_step_block_min(steps)[1])
+        assert sum(coeffs) == 1 and min(coeffs) >= 0
+        assert fam.norm(fam.mix(zip(coeffs, range(w)))).equals(value)
+
+
 def test_step_lp_is_refused_before_it_is_built():
     res = checkers.MAX_STEP_LP_CELLS.bit_length() - 1
     at_bound = VectorFamily([cell_indicator(res, 1, 2**res),
@@ -516,11 +533,18 @@ def test_linearised_cuts_stop_at_the_cut_cap(monkeypatch):
     monkeypatch.setattr(checkers, "BLOCK_MIN_GAP", 0)
     solves = []
 
-    def counted(*args):
-        solves.append(len(args[1]))
-        return solve_lp(*args)
+    class Counted(Tableau):
+        """Counts the first solve and each re-solve after a cut."""
 
-    monkeypatch.setattr(checkers, "solve_lp", counted)
+        def __init__(self, *args):
+            solves.append(len(args[1]))
+            super().__init__(*args)
+
+        def add_row(self, a, b):
+            solves.append(len(self.basis) + 1)
+            super().add_row(a, b)
+
+    monkeypatch.setattr(checkers, "Tableau", Counted)
     rng = seeded_rng(1704)
     vectors = [random_rational_vector(random_tree(8, 1), rng)
                for _ in range(4)]

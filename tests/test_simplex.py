@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -12,14 +11,19 @@ from bairelab import (
     P_ZERO,
     StepContext,
     VectorFamily,
-    checkers,
     convex_block_min,
     random_tree,
+    simplex,
 )
 from bairelab.baire import ExponentP
-from bairelab.simplex import LPInfeasible, LPUnbounded, solve_lp
+from bairelab.simplex import LPInfeasible, LPUnbounded, Tableau, solve_lp
 
-from util import full_block_min_lp, seeded_rng
+from util import (
+    full_block_min_lp,
+    reference_step_block_min,
+    seeded_rng,
+    step_block_min_lp,
+)
 
 F = Fraction
 L1, C0 = BasisKind.L1, BasisKind.C0
@@ -193,29 +197,12 @@ def test_solve_lp_matches_vertex_enumeration():
 # SHA-256 over one line per LP of `_lp_corpus`: repr((value, solution)) for
 # an optimum, else the exception's type name.  Recorded with the dense
 # Fraction simplex, before the rows became integers.  The Baire block-min
-# LPs are the full LPs over every generating functional, which block-min
-# itself built until it moved to cutting planes.
+# LPs are the full LPs over every generating functional, and the step
+# LPs the cell LPs, which block-min itself built until every window
+# moved to cutting planes.
 SOLVE_LP_DIGEST = (
     "61b45a28f3284ecdbd64ed40c003de20e591fd991fc99a4464f25534751efe7f"
 )
-
-
-class _Captured(Exception):
-    pass
-
-
-def _block_min_lp(family):
-    """The LP `convex_block_min` hands to the simplex over all of `family`."""
-    captured = []
-
-    def capture(*lp):
-        captured.append(lp)
-        raise _Captured
-
-    with mock.patch.object(checkers, "solve_lp", capture):
-        with pytest.raises(_Captured):
-            convex_block_min(family, (0, len(family) - 1))
-    return captured[0]
 
 
 def _random_lp(rng, n, m_ub, m_eq):
@@ -250,7 +237,7 @@ def _lp_corpus():
         steps = [DyadicStep(res, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
                                        for _ in range(2**res)))
                  for _ in range(4)]
-        yield _block_min_lp(VectorFamily(steps, StepContext()))
+        yield step_block_min_lp(steps)
 
 
 def test_solve_lp_outputs_are_pinned_bit_for_bit():
@@ -265,3 +252,94 @@ def test_solve_lp_outputs_are_pinned_bit_for_bit():
         count += 1
     assert count >= 3000
     assert digest.hexdigest() == SOLVE_LP_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the resumable tableau
+
+
+def _check_resumes(rng, c, a_ub, b_ub, a_eq, b_eq):
+    """Adds seeded rows one at a time; after each, the tableau's optimum
+    is a cold solve's.  Returns how the last step ended."""
+    try:
+        lp = Tableau(c, a_ub, b_ub, a_eq, b_eq)
+    except (LPInfeasible, LPUnbounded) as exc:
+        return type(exc).__name__
+    a_ub, b_ub = list(a_ub), list(b_ub)
+    for _ in range(rng.randint(1, 4)):
+        row = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in c]
+        b = F(rng.randint(-4, 6), rng.randint(1, 3))
+        a_ub.append(row)
+        b_ub.append(b)
+        try:
+            cold = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        except LPInfeasible:
+            with pytest.raises(LPInfeasible):
+                lp.add_row(row, b)
+            return "cut infeasible"
+        lp.add_row(row, b)
+        value, x = lp.optimum()
+        assert value == cold[0] == _dot(c, x)
+        assert all(v >= 0 for v in x)
+        assert all(_dot(r, x) <= q for r, q in zip(a_ub, b_ub))
+        assert all(_dot(r, x) == q for r, q in zip(a_eq, b_eq))
+    return "resumed"
+
+
+def test_added_rows_match_a_cold_solve():
+    rng = seeded_rng(1931)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        m_eq = rng.choice((0, 0, 1, 2))
+        lp = _random_lp(rng, n, rng.randint(0, 4 - m_eq), m_eq)
+        seen.add(_check_resumes(rng, *lp))
+    assert {"resumed", "cut infeasible", "LPInfeasible"} <= seen
+
+
+def test_dual_ratio_ties_go_to_the_least_column():
+    # min x_1 + x_2 from the origin, then x_1 + x_2 >= 1: both columns
+    # enter at ratio 1, and the tie goes to x_1
+    lp = Tableau([F(1), F(1)])
+    assert lp.optimum() == (0, [F(0), F(0)])
+    lp.add_row([F(-1), F(-1)], F(-1))
+    assert lp.optimum() == (F(1), [F(1), F(0)])
+
+
+def test_degenerate_step_window_ties_in_the_dual_pass(monkeypatch):
+    # three steps whose cuts tie in a dual ratio test; the loop still
+    # returns the cell LP's value and weights
+    ties = []
+    pivot = simplex._pivot
+
+    def recording(rows, basis, row, col):
+        r, z = rows[row], rows[-1]
+        if r[-1] < 0:  # only a dual pivot leaves an infeasible row
+            ratios = [F(z[j], -a) for j, a in enumerate(r[:-1]) if a < 0]
+            ties.append(ratios.count(min(ratios)))
+        pivot(rows, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    steps = [DyadicStep(1, (F(-1), F(0))), DyadicStep(1, (F(0), F(-2))),
+             DyadicStep(1, (F(1), F(-2)))]
+    out = convex_block_min(VectorFamily(steps, StepContext()), (0, 2))
+    assert max(ties) > 1
+    assert out == reference_step_block_min(steps)
+
+
+def test_a_cut_past_the_feasible_set_is_infeasible():
+    lp = Tableau([F(1)], [[F(1)]], [F(1)])
+    with pytest.raises(LPInfeasible):
+        lp.add_row([F(-1)], F(-2))
+
+
+def test_a_redundant_equality_resumes():
+    # the duplicated equality leaves its artificial basic after phase 1;
+    # its row is dropped, and the tableau still takes a cut
+    lp = Tableau([F(1), F(2)], a_eq=[[F(1), F(1)], [F(1), F(1)]],
+                 b_eq=[F(1), F(1)])
+    assert lp.optimum() == (F(1), [F(1), F(0)])
+    lp.add_row([F(1), F(0)], F(1, 2))
+    cold = solve_lp([F(1), F(2)], [[F(1), F(0)]], [F(1, 2)],
+                    [[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)])
+    assert lp.optimum() == cold == (F(3, 2), [F(1, 2), F(1, 2)])

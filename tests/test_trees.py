@@ -183,6 +183,36 @@ def test_order_index_counts_derivations_sharply():
         assert len(cur) == 0
 
 
+def test_repeated_derivation_matches_the_iterated_step():
+    # derived_tree(t, k) against k one-step derivations
+    rng = seeded_rng(23)
+    trees = [make_tree(nodes) for nodes in canonical_shapes(6)]
+    trees += [random_tree(rng.randint(0, 30), rng.randint(0, 10**6))
+              for _ in range(40)]
+    for t in trees:
+        o = order_index(t)
+        cur = t
+        for times in range(o + 2):
+            assert derived_tree(t, times) == cur
+            assert (len(cur) == 0) == (times >= o)
+            cur = derived_tree(cur)
+
+
+def test_derivation_refuses_a_negative_count():
+    with pytest.raises(InvalidParameter):
+        derived_tree(full_kary(2, 1), -1)
+    assert derived_tree(full_kary(2, 1), 0) == full_kary(2, 1)
+
+
+def test_rank_and_derive_at_the_declared_depth():
+    # both read each node once: at MAX_DEPTH they take ~0.3 s of CPU
+    t, twice = spine(MAX_DEPTH), spine(MAX_DEPTH - 2)
+    start = time.process_time()
+    rank, derived = order_index(t), derived_tree(t, 2)
+    assert time.process_time() - start < 1.0
+    assert rank == MAX_DEPTH + 1 and derived == twice
+
+
 def test_rank_of_full_kary():
     for k in range(1, 4):
         for d in range(0, 5):
@@ -336,8 +366,8 @@ def test_probe_wf_refuses_a_depth_outside_its_range():
 
 
 def test_derivations_past_the_tree_size_leave_it_empty():
-    # derive stops after min(times, len(tree)) derivations: the order
-    # index never exceeds the node count
+    # the order index never exceeds the node count, so every derivation
+    # past len(tree) leaves the empty tree
     rng = seeded_rng(11)
     for _ in range(30):
         t = random_tree(rng.randint(0, 20), rng.randint(0, 10**6))

@@ -233,3 +233,29 @@ def reference_block_min(vectors, kind, p):
     (weights of its Bland vertex, NormValue)."""
     value, sol = solve_lp(*full_block_min_lp(vectors, kind, p))
     return tuple(sol[:len(vectors)]), NormValue.exact(value, 1)
+
+
+def step_block_min_lp(steps):
+    """The cell LP block-min solved a dyadic-step window by before it
+    joined the cutting-plane loop, as solve_lp arguments, entry for
+    entry: with u_j >= |sum_i a_i f_i(j)| for every cell j of the common
+    resolution and sum a = 1, minimize the mean of the u's."""
+    res = max(f.resolution for f in steps)
+    cells = 2**res
+    w = len(steps)
+    zero, one = Fraction(0), Fraction(1)
+    a_ub = []
+    for j, col in enumerate(zip(*(f.refine(res).values for f in steps))):
+        for sign in (1, -1):
+            row = [sign * x for x in col] + [zero] * cells
+            row[w + j] = -one
+            a_ub.append(row)
+    return ([zero] * w + [Fraction(1, cells)] * cells, a_ub,
+            [zero] * len(a_ub), [[one] * w + [zero] * cells], [one])
+
+
+def reference_step_block_min(steps):
+    """Exact least L1 norm over convex combinations of steps, from the
+    cell LP: (weights of its Bland vertex, NormValue)."""
+    value, sol = solve_lp(*step_block_min_lp(steps))
+    return tuple(sol[:len(steps)]), NormValue.exact(value, 1)

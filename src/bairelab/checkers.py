@@ -31,12 +31,13 @@ from .errors import (
     Record,
     TreeMismatch,
     WindowOutOfRange,
+    natural,
     rational,
     within_binary64,
 )
 from .simplex import Tableau
 from .steps import l1_norm, step_linear_combination
-from .trees import prefix_closure
+from .trees import MAX_ENTRY, prefix_closure
 from .verdicts import Verdict
 
 #: Most cells of the common resolution a step window is solved over.  Its
@@ -116,10 +117,14 @@ class VectorFamily:
 
 
 def delta_antichain_family(n, kind, p, labels=None):
-    """The family of unit coordinate vectors on n incomparable nodes."""
-    if labels is None:
-        labels = range(n)
-    nodes = [(int(k),) for k in labels]
+    """The family of unit coordinate vectors on n incomparable nodes, the
+    nodes (k,) for the n distinct natural labels k (0..n - 1 by default)."""
+    natural(n, "n")
+    labels = range(n) if labels is None else [
+        natural(k, "label", 0, MAX_ENTRY) for k in labels]
+    if len(labels) != n or len(set(labels)) != n:
+        raise InvalidParameter(f"need {n} distinct labels, got {labels}")
+    nodes = [(k,) for k in labels]
     tree = prefix_closure(nodes)
     vectors = [BaireVector(tree, {node: 1}) for node in nodes]
     return VectorFamily(vectors, BaireContext(kind, p))
@@ -132,10 +137,7 @@ def cesaro_mean(family, indices, alternating=False):
     if not idx:
         raise BadIndexList("at least one index is required")
     for k in idx:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise BadIndexList(f"index {k!r} must be an integer")
-        if not 0 <= k < len(family):
-            raise BadIndexList(f"index {k!r} out of range")
+        natural(k, "index", 0, len(family) - 1, BadIndexList)
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise BadIndexList("indices must be strictly increasing")
     m = len(idx)
@@ -165,9 +167,7 @@ def bs_obstruction_check(family, epsilon):
     increasing index tuple has norm >= epsilon: the family is an
     epsilon-obstruction prefix.  Requires all vectors in the unit ball.
     """
-    epsilon = rational(epsilon, "epsilon")
-    if epsilon <= 0:
-        raise InvalidParameter("epsilon must be positive")
+    epsilon = rational(epsilon, "epsilon", positive=True)
     n = len(family)
     if n > MAX_OBSTRUCTION_FAMILY:
         raise FamilyTooLarge(
@@ -196,8 +196,9 @@ class TrialCoeffs(Record):
     inequality is invariant under a global flip).  grid: per-coordinate
     rational values, expanded as a full product and refused past
     MAX_ABS_CANDIDATES rays.  random_trials: seeded random vectors per
-    index tuple.  Only the first vector on each positive ray is kept:
-    the tested inequality is invariant under positive scaling.
+    index tuple, at most MAX_ABS_CANDIDATES.  Only the first vector on
+    each positive ray is kept: the tested inequality is invariant under
+    positive scaling.
     """
 
     __slots__ = ("grid", "random_trials", "seed")
@@ -205,8 +206,9 @@ class TrialCoeffs(Record):
     def __init__(self, grid: tuple = (), random_trials: int = 0,
                  seed: int = 0):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "random_trials", random_trials)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "random_trials", natural(
+            random_trials, "random_trials", 0, MAX_ABS_CANDIDATES))
+        object.__setattr__(self, "seed", natural(seed, "seed", lo=None))
 
     def describe(self, size):
         parts = [f"sign patterns (2^{size - 1})"]
@@ -269,9 +271,7 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     sum over ell of C(n - ell + 1, 2**ell) * len(trials.vectors(2**ell)),
     are counted first, and more than MAX_ABS_CANDIDATES are refused.
     """
-    epsilon = rational(epsilon, "epsilon")
-    if epsilon <= 0:
-        raise InvalidParameter("epsilon must be positive")
+    epsilon = rational(epsilon, "epsilon", positive=True)
     n = len(family)
     if n < 2:
         raise FamilyTooSmall("need at least two vectors")
@@ -424,6 +424,8 @@ def convex_block_min(family, window):
     MAX_BLOCK_CUTS cuts run out first.
     """
     start, length = window
+    natural(start, "window start", lo=None)
+    natural(length, "window length", lo=None)
     n = len(family)
     if not (0 <= start and length >= 0 and start + length < n):
         raise WindowOutOfRange(f"window {window} does not fit a family of {n}")
@@ -463,9 +465,7 @@ def weak_null_probe(family, epsilon):
     first block that is not below epsilon.  Outside the polyhedral
     contexts each block solves at most MAX_BLOCK_CUTS + 1 LPs.
     """
-    epsilon = rational(epsilon, "epsilon")
-    if epsilon <= 0:
-        raise InvalidParameter("epsilon must be positive")
+    epsilon = rational(epsilon, "epsilon", positive=True)
     n = len(family)
     if n < 2:
         raise FamilyTooSmall("need at least two vectors")

@@ -30,11 +30,7 @@ from .serialize import (
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        sys.stderr.write(
-            dumps_canonical({"error": "ValidationError", "message": message})
-            + "\n"
-        )
-        raise SystemExit(2)
+        raise ValidationError(message)
 
 
 def _arg(parse):
@@ -372,23 +368,14 @@ def main(argv=None):
                 raise InvalidParameter(f"cannot write --out {out}: {exc}")
         sys.stdout.write(text)
         return 0
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
-    except BaireLabError as exc:
-        sys.stderr.write(
-            dumps_canonical({"error": type(exc).__name__, "message": str(exc)})
-            + "\n"
-        )
-        return 2
-    except Exception as exc:  # pragma: no cover - internal failure path
-        sys.stderr.write(
-            dumps_canonical(
-                {"error": "InternalError",
-                 "message": f"{type(exc).__name__}: {exc}"}
-            )
-            + "\n"
-        )
-        return 1
+    except Exception as exc:
+        name, known = type(exc).__name__, isinstance(exc, BaireLabError)
+        doc = ({"error": name, "message": str(exc)} if known else
+               {"error": "InternalError", "message": f"{name}: {exc}"})
+        sys.stderr.write(dumps_canonical(doc) + "\n")
+        return 2 if known else 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ bugs: BaireLabError maps to exit code 2, anything else to exit code 1.
 
 import functools
 import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -67,19 +68,53 @@ class InvalidParameter(BaireLabError):
     pass
 
 
-def rational(c, what="coefficients"):
+#: Largest decimal exponent magnitude a rational string may carry.
+#: Fraction expands the exponent in full ("1e10000000" costs seconds), so
+#: the bound is the 4300-digit cap Python puts on integer strings.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def exponent_too_large(text):
+    """True iff the string `text` ends in a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in magnitude."""
+    exp = _EXPONENT.search(text)
+    digits = exp.group(1).replace("_", "").lstrip("0") if exp else ""
+    return (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            or int(digits or 0) > MAX_DECIMAL_EXPONENT)
+
+
+def rational(c, what="coefficients", positive=False):
     """c as a Fraction, the one reader of a caller's rational: a Fraction
-    is returned as it is, and a bool, a non-finite float or anything
-    Fraction cannot read raises InvalidParameter instead of being coerced
-    or failing bare."""
-    if type(c) is Fraction:
-        return c
-    if isinstance(c, bool):
-        raise InvalidParameter(f"{what} must be rational, got {c!r}")
-    try:
-        return Fraction(c)
-    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
-        raise InvalidParameter(f"{what} must be rational, got {c!r}") from None
+    is returned as it is, and a bool, a non-finite float, a string whose
+    decimal exponent is too large or anything Fraction cannot read raises
+    InvalidParameter instead of being coerced or failing bare; so does a
+    value that is not above 0 when `positive`."""
+    if type(c) is not Fraction:
+        if isinstance(c, bool) or isinstance(c, str) and exponent_too_large(c):
+            raise InvalidParameter(f"{what} must be rational, got {c!r}")
+        try:
+            c = Fraction(c)
+        except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+            raise InvalidParameter(
+                f"{what} must be rational, got {c!r}") from None
+    if positive and c <= 0:
+        raise InvalidParameter(f"{what} must be positive")
+    return c
+
+
+def natural(n, what, lo=0, hi=None, error=InvalidParameter):
+    """n as it is, the one reader of a caller's integer: a bool, a float,
+    a string, None or anything else that is not an int raises `error`,
+    and so does, unless lo is None, a value outside [lo, hi] (no upper
+    bound when hi is None)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise error(f"{what} must be an integer, got {n!r}")
+    if lo is not None and not (lo <= n and (hi is None or n <= hi)):
+        bounds = f"[{lo}, inf)" if hi is None else f"[{lo}, {hi}]"
+        raise error(f"{what} {n} outside {bounds}")
+    return n
 
 
 def within_binary64(func):

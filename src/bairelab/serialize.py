@@ -13,11 +13,16 @@ anywhere.
 
 import json
 import math
-import re
 from fractions import Fraction
 
 from .bases import BasisKind, NormValue
-from .errors import ParseError, ValidationError
+from .errors import (
+    MAX_DECIMAL_EXPONENT,
+    ParseError,
+    ValidationError,
+    exponent_too_large,
+    natural,
+)
 
 
 def format_fraction(q):
@@ -26,14 +31,6 @@ def format_fraction(q):
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-#: Largest decimal exponent magnitude a rational string may carry.
-#: Fraction expands the exponent in full ("1e10000000" costs seconds), so
-#: the bound is the 4300-digit cap Python puts on integer strings.
-MAX_DECIMAL_EXPONENT = 4300
-
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_fraction(text):
@@ -47,15 +44,11 @@ def parse_fraction(text):
         raise ValidationError(
             f"a rational must be a string or an integer, got {text!r}"
         )
-    exp = _EXPONENT.search(text)
-    if exp is not None:
-        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
-        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                or int(digits) > MAX_DECIMAL_EXPONENT):
-            raise ValidationError(
-                f"bad rational {text!r}: decimal exponent beyond "
-                f"{MAX_DECIMAL_EXPONENT} in magnitude"
-            )
+    if exponent_too_large(text):
+        raise ValidationError(
+            f"bad rational {text!r}: decimal exponent beyond "
+            f"{MAX_DECIMAL_EXPONENT} in magnitude"
+        )
     try:
         return Fraction(int(text) if text.isdecimal() else text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -184,12 +177,6 @@ def _array(value, what):
     return value
 
 
-def _integer(value, what):
-    if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def tree_from_json(obj):
     from .trees import make_tree
     nodes = _array(_object(obj, "a tree").get("nodes"), '"nodes"')
@@ -283,7 +270,8 @@ def step_from_json(obj, parsed=None):
     from .steps import DyadicStep, _check_resolution
     _object(obj, "a step")
     values = _array(obj.get("values"), '"values"')
-    resolution = _integer(obj.get("resolution"), '"resolution"')
+    resolution = natural(obj.get("resolution"), '"resolution"', lo=None,
+                         error=ValidationError)
     parsed = {} if parsed is None else parsed
     cells = {}
     for i, v in enumerate(values):
@@ -311,7 +299,8 @@ def bush_from_json(obj):
         tuple(step_from_json(f, parsed) for f in _array(level, "a bush level"))
         for level in levels
     ))
-    if "K" in obj and _integer(obj["K"], '"K"') != bush.top_level:
+    if "K" in obj and natural(obj["K"], '"K"', lo=None,
+                              error=ValidationError) != bush.top_level:
         raise ValidationError("bush K field disagrees with the level count")
     return bush
 

@@ -20,6 +20,7 @@ from .errors import (
     KOutOfRange,
     Record,
     ValidationError,
+    natural,
     rational,
 )
 from .verdicts import Verdict
@@ -30,10 +31,7 @@ _ZERO = Fraction(0)
 
 def _check_resolution(resolution, count=None):
     """A resolution in range, with 2**resolution cell values if counted."""
-    if not (0 <= resolution <= MAX_RESOLUTION):
-        raise InvalidParameter(
-            f"resolution must lie in [0, {MAX_RESOLUTION}]"
-        )
+    natural(resolution, "resolution", 0, MAX_RESOLUTION)
     if count is not None and count != 2**resolution:
         raise ValidationError(
             f"resolution {resolution} requires {2**resolution} "
@@ -86,9 +84,9 @@ class DyadicStep(_CellMap):
         return MappingProxyType(self._cells)
 
     def refine(self, resolution):
+        _check_resolution(resolution)
         if resolution < self.resolution:
             raise InvalidParameter("cannot refine to a coarser resolution")
-        _check_resolution(resolution)
         shift = resolution - self.resolution
         return DyadicStep._of(resolution, {
             j: v for i, v in self._cells.items()
@@ -128,8 +126,7 @@ def constant_step(c, resolution=0):
 def cell_indicator(k, l, height=1):
     """height * 1 on the l-th dyadic cell of resolution k, l = 1..2**k."""
     _check_resolution(k)
-    if not (1 <= l <= 2**k):
-        raise InvalidParameter(f"cell index {l} out of range for resolution {k}")
+    natural(l, "cell index", 1, 2**k)
     height = rational(height, "step values")
     return DyadicStep._of(k, {l - 1: height} if height else {})
 
@@ -197,8 +194,7 @@ def rademacher_bush(K):
     Midpoint exactness and unit L1 norm hold by construction; the level-k
     alternating difference has constant modulus 2**k.
     """
-    if not (1 <= K <= 16):
-        raise KOutOfRange(f"K must lie in [1, 16], got {K}")
+    natural(K, "K", 1, 16, KOutOfRange)
     levels = []
     for k in range(K + 1):
         height = Fraction(2**k)
@@ -210,8 +206,7 @@ def rademacher_bush(K):
 
 def level_difference(bush, k):
     """sum over l of x_k^{2l-1} - x_k^{2l} at level k >= 1."""
-    if not (1 <= k <= bush.top_level):
-        raise InvalidParameter(f"level {k} out of range")
+    natural(k, "level", 1, bush.top_level)
     return step_linear_combination(
         (1 if l % 2 else -1, f) for l, f in enumerate(bush.levels[k], 1)
     )
@@ -225,12 +220,8 @@ def bush_check(bush, delta, bound):
     then the norm bound on every entry.  The verdict carries the first
     failing condition and its location.
     """
-    delta = rational(delta, "delta")
-    bound = rational(bound, "bound")
-    if delta <= 0:
-        raise InvalidParameter("delta must be positive")
-    if bound <= 0:
-        raise InvalidParameter("bound must be positive")
+    delta = rational(delta, "delta", positive=True)
+    bound = rational(bound, "bound", positive=True)
     top = bush.top_level
     for k in range(1, top + 1):
         for l in range(1, 2 ** (k - 1) + 1):

@@ -14,6 +14,7 @@ from .errors import (
     InvalidSegment,
     PrefixClosureViolation,
     Record,
+    natural,
 )
 
 # Overflow contract: entries and depths beyond these bounds are rejected
@@ -163,8 +164,7 @@ def derived_tree(tree, times=1):
     """`tree` derived `times` times, each derivation keeping the nodes
     with a proper extension: in a prefix-closed set, the prefixes
     n[:len(n) - times] of the nodes n at least `times` long."""
-    if times < 0:
-        raise InvalidParameter(f"times must be nonnegative, got {times}")
+    natural(times, "times")
     return FiniteTree({n[:len(n) - times] for n in tree.nodes
                        if len(n) >= times}, _validated=True)
 
@@ -177,7 +177,7 @@ def order_index(tree):
 
 def subtree_at(tree, k):
     """The tree {s : (k) + s in tree}; empty when (k) is not a node."""
-    k = int(k)
+    natural(k, "k", 0, MAX_ENTRY)
     return FiniteTree(
         {n[1:] for n in tree.nodes if n and n[0] == k}, _validated=True
     )
@@ -185,7 +185,7 @@ def subtree_at(tree, k):
 
 def restricted_at(tree, k):
     """The plain node set {s in tree : (k) <= s}; not itself a tree."""
-    k = int(k)
+    natural(k, "k", 0, MAX_ENTRY)
     return frozenset(n for n in tree.nodes if n and n[0] == k)
 
 
@@ -260,6 +260,7 @@ def segments_incomparable(seg1, seg2):
 
 def _check_depth(name, d):
     """Refuse a generator depth outside [0, MAX_DEPTH] before building."""
+    natural(d, "d", lo=None)
     if d < 0:
         raise InvalidParameter(f"{name} requires d >= 0")
     if d > MAX_DEPTH:
@@ -268,8 +269,7 @@ def _check_depth(name, d):
 
 def full_kary(k, d):
     """The full k-ary tree of depth d."""
-    if k < 1:
-        raise InvalidParameter("full_kary requires k >= 1")
+    natural(k, "k", 1)
     _check_depth("full_kary", d)
     nodes = [()]
     frontier = [()]
@@ -293,9 +293,7 @@ def random_tree(n, seed):
     existing ones.  The generator is random.Random(seed), CPython's
     Mersenne Twister, so corpora are reproducible across platforms.
     """
-    if n < 0:
-        raise InvalidParameter("random_tree requires n >= 0")
-    if n == 0:
+    if natural(n, "n") == 0:
         return EMPTY_TREE
     rng = _random.Random(seed)
     nodes = [()]
@@ -344,10 +342,8 @@ class LazyTree:
     __slots__ = ("children_of", "depth_budget")
 
     def __init__(self, children_of, depth_budget=64):
-        if depth_budget < 0:
-            raise InvalidParameter("depth_budget must be nonnegative")
         self.children_of = children_of
-        self.depth_budget = depth_budget
+        self.depth_budget = natural(depth_budget, "depth_budget")
 
 
 WELL_FOUNDED_CERTIFIED = "well_founded_certified"
@@ -382,13 +378,11 @@ def probe_wf(lazy, depth):
     InvalidParameter when it lies outside [0, MAX_DEPTH], before any
     node is explored.
     """
-    if depth > lazy.depth_budget:
+    if natural(depth, "probe depth", lo=None) > lazy.depth_budget:
         raise BudgetExceeded(
             f"requested depth {depth} exceeds budget {lazy.depth_budget}"
         )
-    if not 0 <= depth <= MAX_DEPTH:
-        raise InvalidParameter(
-            f"probe depth {depth} outside [0, {MAX_DEPTH}]")
+    natural(depth, "probe depth", 0, MAX_DEPTH)
     if depth == 0:
         return ProbeVerdict(BRANCH_CANDIDATE, ())
     stack = [()]
@@ -401,8 +395,8 @@ def probe_wf(lazy, depth):
             labels = (descriptor.representative(),)
         else:
             labels = sorted(descriptor)
-        for label in reversed(labels):
-            stack.append(node + (int(label),))
+        stack.extend(node + (natural(label, "child label", 0, MAX_ENTRY),)
+                     for label in reversed(labels))
     return ProbeVerdict(WELL_FOUNDED_CERTIFIED)
 
 
@@ -427,6 +421,7 @@ def zeros_branch(depth_budget=64):
 def depth_bounded(d, depth_budget=64):
     """All nodes of length <= d; every internal node has cofinitely
     many (in fact all) naturals as children."""
+    natural(d, "d")
 
     def children_of(node):
         return Cofinite() if len(node) < d else ()

@@ -38,6 +38,7 @@ from bairelab.errors import (
     FamilyTooLarge,
     FamilyTooSmall,
     FunctionalSetTooLarge,
+    InvalidParameter,
     NotInUnitBall,
     WindowOutOfRange,
 )
@@ -59,6 +60,17 @@ def test_cesaro_mean_examples():
     single, nv = cesaro_mean(fam, [1], alternating=True)
     assert single[(1,)] == -1
     assert nv.power_base == 1
+
+
+def test_delta_antichain_family_takes_n_distinct_natural_labels():
+    fam = delta_antichain_family(2, L1, 1, [5, 2])
+    assert [v.support for v in fam.vectors] == [{(5,)}, {(2,)}]
+    assert fam.vectors[0].tree == prefix_closure([(5,), (2,)])
+    for n, labels in ((3, [0, 1]), (2, [0, 1, 2]), (2, [1, 1]),
+                      (2, [0.5, 1.7]), (2, [-1, 3]), (1, [True]),
+                      (1, ["1"])):
+        with pytest.raises(InvalidParameter):
+            delta_antichain_family(n, L1, 1, labels)
 
 
 def test_cesaro_mean_index_validation():

@@ -757,6 +757,22 @@ def test_probe_wf_refuses_a_depth_outside_its_range(capsys, tree_file,
         "message": f"probe depth {depth} outside [0, 4096]"}
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["check-abs", "--family", _antichain(tmp), "--epsilon", "1/2",
+                 "--random", "-3"],
+    lambda tmp: ["check-abs", "--family", _antichain(tmp), "--epsilon", "1/2",
+                 "--random", "100001"],
+    lambda tmp: ["probe-wf", "--lazy", "bounded:-3", "--depth", "2"],
+], ids=["random-negative", "random-past-its-bound", "bounded-negative"])
+def test_cli_refuses_an_integer_out_of_its_range_fast(capsys, tmp_path, argv):
+    argv = argv(tmp_path)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidParameter"
+
+
 def test_derive_stops_once_the_tree_is_empty(capsys, tmp_path):
     path = write(tmp_path, "t.json", tree_to_json(make_tree([(), (0,)])))
     start = time.process_time()

@@ -1,8 +1,13 @@
 """errors.rational is the one reader of a caller's rational: every
-library parameter that takes one refuses a bool, a NaN, an infinity and
-anything Fraction cannot read (None, "1/0", a list) with
-InvalidParameter instead of coercing it or failing bare."""
+library parameter that takes one refuses a bool, a NaN, an infinity, a
+decimal exponent past 4300 and anything Fraction cannot read (None,
+"1/0", a list) with InvalidParameter instead of coercing it or failing
+bare.  errors.natural is the one reader of a caller's integer: every
+integer parameter refuses a bool, a float, a string and None, and a
+value outside its range, with InvalidParameter or its site's own
+class."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +16,7 @@ from bairelab import (
     BaireVector,
     BasisKind,
     DyadicStep,
+    LazyTree,
     NormValue,
     TrialCoeffs,
     abs_obstruction_falsify,
@@ -18,16 +24,35 @@ from bairelab import (
     bs_obstruction_check,
     bush_check,
     cell_indicator,
+    cesaro_mean,
     constant_step,
+    convex_block_min,
     delta,
     delta_antichain_family,
+    derived_tree,
+    full_kary,
+    level_difference,
     linear_combination,
     make_tree,
+    probe_wf,
     rademacher_bush,
+    random_tree,
+    restricted_at,
+    spine,
+    subtree_at,
     weak_null_probe,
 )
-from bairelab.errors import InvalidParameter, rational
-from bairelab.steps import step_linear_combination
+from bairelab.checkers import MAX_ABS_CANDIDATES
+from bairelab.errors import (
+    BadIndexList,
+    InvalidParameter,
+    KOutOfRange,
+    WindowOutOfRange,
+    natural,
+    rational,
+)
+from bairelab.steps import MAX_RESOLUTION, step_linear_combination
+from bairelab.trees import MAX_DEPTH, MAX_ENTRY, depth_bounded, zeros_branch
 
 _TREE = make_tree([(), (0,)])
 
@@ -65,8 +90,9 @@ READERS = {
 
 
 @pytest.mark.parametrize(
-    "value", [True, float("nan"), float("inf"), None, "1/0", [1]],
-    ids=["true", "nan", "inf", "none", "one-over-zero", "list"])
+    "value", [True, float("nan"), float("inf"), None, "1/0", [1], "1e4301"],
+    ids=["true", "nan", "inf", "none", "one-over-zero", "list",
+         "huge-exponent"])
 @pytest.mark.parametrize("reader", list(READERS.values()), ids=list(READERS))
 def test_every_rational_parameter_refuses_what_is_not_a_rational(
         reader, value):
@@ -80,3 +106,109 @@ def test_rational_returns_a_fraction_as_it_is():
     q = F(3, 4)
     assert rational(q) is q
     assert rational(0.5) == F(1, 2) and rational("2/3") == F(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# integers
+
+def _lazy_labelled(label):
+    """A lazy tree whose root has the one child `label`."""
+    return LazyTree(lambda node: (label,) if node == () else ())
+
+
+# each integer parameter: (reader called with the value under test, a value
+# outside its range, the class refusing a non-integer, the class refusing
+# the out-of-range value); None where the parameter has no range
+INTEGER_READERS = {
+    "derived_tree-times": (lambda v: derived_tree(full_kary(2, 1), v), -1,
+                           InvalidParameter, InvalidParameter),
+    "subtree_at": (lambda v: subtree_at(full_kary(2, 1), v), -1,
+                   InvalidParameter, InvalidParameter),
+    "restricted_at": (lambda v: restricted_at(full_kary(2, 1), v),
+                      MAX_ENTRY + 1, InvalidParameter, InvalidParameter),
+    "full_kary-k": (lambda v: full_kary(v, 1), 0,
+                    InvalidParameter, InvalidParameter),
+    "full_kary-d": (lambda v: full_kary(2, v), -1,
+                    InvalidParameter, InvalidParameter),
+    "spine": (lambda v: spine(v), MAX_DEPTH + 1,
+              InvalidParameter, InvalidParameter),
+    "random_tree": (lambda v: random_tree(v, 0), -1,
+                    InvalidParameter, InvalidParameter),
+    "LazyTree-depth_budget": (lambda v: LazyTree(lambda node: (), v), -1,
+                              InvalidParameter, InvalidParameter),
+    "probe_wf-depth": (lambda v: probe_wf(zeros_branch(), v), -1,
+                       InvalidParameter, InvalidParameter),
+    "probe_wf-child-label": (lambda v: probe_wf(_lazy_labelled(v), 2), -1,
+                             InvalidParameter, InvalidParameter),
+    "depth_bounded": (lambda v: probe_wf(depth_bounded(v), 2), -3,
+                      InvalidParameter, InvalidParameter),
+    "DyadicStep-resolution": (lambda v: DyadicStep(v, (1,)), -1,
+                              InvalidParameter, InvalidParameter),
+    "constant_step-resolution": (lambda v: constant_step(1, v),
+                                 MAX_RESOLUTION + 1,
+                                 InvalidParameter, InvalidParameter),
+    "refine": (lambda v: constant_step(1).refine(v), MAX_RESOLUTION + 1,
+               InvalidParameter, InvalidParameter),
+    "cell_indicator-k": (lambda v: cell_indicator(v, 1), -1,
+                         InvalidParameter, InvalidParameter),
+    "cell_indicator-l": (lambda v: cell_indicator(1, v), 3,
+                         InvalidParameter, InvalidParameter),
+    "rademacher_bush": (lambda v: rademacher_bush(v), 17,
+                        KOutOfRange, KOutOfRange),
+    "level_difference": (lambda v: level_difference(rademacher_bush(2), v),
+                         3, InvalidParameter, InvalidParameter),
+    "delta_antichain_family-n": (
+        lambda v: delta_antichain_family(v, BasisKind.L1, 1), -1,
+        InvalidParameter, InvalidParameter),
+    "delta_antichain_family-labels": (
+        lambda v: delta_antichain_family(2, BasisKind.L1, 1, [0, v]), -1,
+        InvalidParameter, InvalidParameter),
+    "cesaro_mean": (lambda v: cesaro_mean(_family(), [0, v]), 2,
+                    BadIndexList, BadIndexList),
+    "convex_block_min-start": (lambda v: convex_block_min(_family(), (v, 0)),
+                               -1, InvalidParameter, WindowOutOfRange),
+    "convex_block_min-length": (
+        lambda v: convex_block_min(_family(), (0, v)), 2,
+        InvalidParameter, WindowOutOfRange),
+    "TrialCoeffs-random_trials": (lambda v: TrialCoeffs(random_trials=v),
+                                  MAX_ABS_CANDIDATES + 1,
+                                  InvalidParameter, InvalidParameter),
+    "TrialCoeffs-seed": (lambda v: TrialCoeffs(seed=v), None,
+                         InvalidParameter, None),
+}
+
+
+def _refused_fast(reader, value, error, match=None):
+    start = time.process_time()
+    with pytest.raises(error, match=match):
+        reader(value)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", None],
+                         ids=["true", "float", "string", "none"])
+@pytest.mark.parametrize("site", list(INTEGER_READERS.values()),
+                         ids=list(INTEGER_READERS))
+def test_every_integer_parameter_refuses_what_is_not_an_integer(
+        site, value):
+    """A bool, a float, a string and None each raise the site's class
+    from every integer reader, within 0.5 s of CPU."""
+    reader, _, error, _ = site
+    _refused_fast(reader, value, error, match="must be an integer")
+
+
+@pytest.mark.parametrize("site", [s for s in INTEGER_READERS.values()
+                                  if s[1] is not None],
+                         ids=[k for k, s in INTEGER_READERS.items()
+                              if s[1] is not None])
+def test_every_integer_parameter_refuses_a_value_out_of_its_range(site):
+    reader, outside, _, error = site
+    _refused_fast(reader, outside, error)
+
+
+def test_natural_returns_an_integer_as_it_is():
+    assert natural(7, "n") == 7 and natural(-7, "n", lo=None) == -7
+    with pytest.raises(InvalidParameter, match=r"^n 8 outside \[0, 7\]$"):
+        natural(8, "n", 0, 7)
+    with pytest.raises(InvalidParameter, match=r"^n -1 outside \[0, inf\)$"):
+        natural(-1, "n")

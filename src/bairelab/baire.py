@@ -53,7 +53,6 @@ from .trees import (
     node_key,
     prefix_closure,
     segment_in_tree,
-    subtree_at,
 )
 from .verdicts import CheckReport
 
@@ -97,7 +96,9 @@ P_ZERO = ExponentP(None)
 
 
 def exact_mode(kind, p):
-    """The (kind, p) pairs whose p-th norm power is rational."""
+    """The (kind, p) pairs whose p-th norm power is rational; every
+    evaluator and identity checks its kind here, before it reads it."""
+    kind = BasisKind.of(kind)
     if p.is_zero:
         return True
     if kind in (BasisKind.L1, BasisKind.C0):
@@ -265,8 +266,6 @@ def _segment_dp(x, kind, p, *, witness):
     only grow toward the root, so the root is the least node attaining
     the maximum.
     """
-    if not isinstance(kind, BasisKind):
-        raise InvalidParameter(f"unknown basis kind {kind!r}")
     exact = exact_mode(kind, p)
     d, ints = x.scaled()
     # the zero vector runs as a lone root without coefficient
@@ -477,14 +476,6 @@ def _segment_powers(x, closure, kind, p, exact):
     return powers, scale
 
 
-def _oracle_guard(closure):
-    if len(closure) > MAX_ORACLE_NODES:
-        raise TooLargeForOracle(
-            f"support closure has {len(closure)} nodes, "
-            f"oracle bound is {MAX_ORACLE_NODES}"
-        )
-
-
 def baire_norm_oracle(x, kind, p, *, with_witness=False):
     """Exhaustive reference evaluator; bit-identical to baire_norm in
     exact mode.  It sums integer segment powers (floats in binary64 mode)
@@ -493,9 +484,11 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter("use baire_norm_zero for the p = 0 variant")
-    closure = x.support_closure()
-    _oracle_guard(closure)
     exact = exact_mode(kind, p)
+    closure = x.support_closure()
+    if len(closure) > MAX_ORACLE_NODES:
+        raise TooLargeForOracle(f"support closure has {len(closure)} nodes, "
+                                f"oracle bound is {MAX_ORACLE_NODES}")
     powers, scale = _segment_powers(x, closure, kind, p, exact)
     zero = 0 if exact else 0.0
     # the maximum value; with a witness, ties go to the least family in
@@ -606,12 +599,12 @@ def check_root_decomposition(x, kind, p):
     exact = exact_mode(kind, p)
     lhs = _norm_power(x, kind, p, exact)
     star = deleted_first(kind)
+    d, ints = x.scaled()
+    branches = {}
+    for n, v in ints.items():
+        branches.setdefault(n[0], {})[n[1:]] = Fraction(v, d)
     rhs = Fraction(0) if exact else 0.0
-    roots = sorted({n[0] for n in x.tree.nodes if n})
-    for lam in roots:
-        sub = subtree_at(x.tree, lam)
-        coeffs = {n[1:]: c for n, c in x.coeffs.items() if n[0] == lam}
-        if not coeffs:
-            continue
-        rhs += _norm_power(BaireVector(sub, coeffs), star, p, exact)
+    # each branch on the closure of its support, which is all the DP reads
+    for _, ys in sorted(branches.items()):
+        rhs += _norm_power(BaireVector(prefix_closure(ys), ys), star, p, exact)
     return _report(lhs, rhs, exact)

@@ -33,6 +33,13 @@ class BasisKind(enum.Enum):
     C0 = "c0"
 
     @classmethod
+    def of(cls, kind):
+        """kind itself; anything not a member raises InvalidParameter."""
+        if not isinstance(kind, cls):
+            raise InvalidParameter(f"unknown basis kind {kind!r}")
+        return kind
+
+    @classmethod
     def from_tag(cls, tag):
         for kind in cls:
             if kind.value == tag:
@@ -135,14 +142,13 @@ class NormValue(Record):
 
 def basis_norm(kind, coeffs):
     """Exact norm of a finite coefficient combination in the given basis."""
+    kind = BasisKind.of(kind)
     cs = [rational(c) for c in coeffs]
     if kind is BasisKind.L1:
         return NormValue.exact(sum((abs(c) for c in cs), Fraction(0)), 1)
     if kind is BasisKind.L2:
         return NormValue.exact(sum((c * c for c in cs), Fraction(0)), 2)
-    if kind is BasisKind.C0:
-        return NormValue.exact(max((abs(c) for c in cs), default=Fraction(0)), 1)
-    raise InvalidParameter(f"unknown basis kind {kind!r}")
+    return NormValue.exact(max((abs(c) for c in cs), default=Fraction(0)), 1)
 
 
 def triangle_leq(whole, part1, part2):

@@ -31,6 +31,7 @@ from .errors import (
     Record,
     TreeMismatch,
     WindowOutOfRange,
+    format_fraction,
     natural,
     rational,
     within_binary64,
@@ -54,7 +55,7 @@ class BaireContext:
     """Norm context for families of BaireVector."""
 
     def __init__(self, kind, p):
-        self.kind = kind
+        self.kind = BasisKind.of(kind)
         self.p = ExponentP.coerce(p)
 
     def norm(self, v):
@@ -72,7 +73,7 @@ class BaireContext:
         )
 
     def describe(self):
-        p = "0" if self.p.is_zero else str(self.p.value)
+        p = "0" if self.p.is_zero else format_fraction(self.p.value)
         return f"baire({self.kind.value}, p={p})"
 
 
@@ -185,7 +186,8 @@ def bs_obstruction_check(family, epsilon):
                 m=m, ell=ell, indices=list(tup), value=value
             )
     return Verdict.passed(
-        tested=f"all split means over {n} vectors stayed >= {epsilon}"
+        tested=f"all split means over {n} vectors stayed >= "
+               f"{format_fraction(epsilon)}"
     )
 
 
@@ -213,7 +215,7 @@ class TrialCoeffs(Record):
     def describe(self, size):
         parts = [f"sign patterns (2^{size - 1})"]
         if self.grid:
-            parts.append(f"grid {list(map(str, self.grid))}")
+            parts.append(f"grid {list(map(format_fraction, self.grid))}")
         if self.random_trials:
             parts.append(
                 f"{self.random_trials} random rational trials (seed {self.seed})"
@@ -423,7 +425,11 @@ def convex_block_min(family, window):
     bound on the minimum within BLOCK_MIN_GAP * s of a lower bound unless
     MAX_BLOCK_CUTS cuts run out first.
     """
-    start, length = window
+    try:
+        start, length = window
+    except (TypeError, ValueError):
+        raise WindowOutOfRange(
+            f"window {window} is not a (start, length) pair") from None
     natural(start, "window start", lo=None)
     natural(length, "window length", lo=None)
     n = len(family)
@@ -493,5 +499,6 @@ def weak_null_probe(family, epsilon):
             )
     return Verdict.inconclusive(
         f"uniform consecutive window partitions of lengths 1..{n} "
-        f"(remainder window shorter) all contain a block >= {epsilon}"
+        "(remainder window shorter) all contain a block >= "
+        f"{format_fraction(epsilon)}"
     )

@@ -104,6 +104,23 @@ def rational(c, what="coefficients", positive=False):
     return c
 
 
+def format_fraction(q):
+    """The one writer of an exact number: "p" for an integer, else "p/q",
+    the text str(Fraction) gives.  A numerator or denominator past Python's
+    integer-string digit limit raises InvalidParameter, not ValueError."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InvalidParameter(
+            "a rational past the integer-string limit of "
+            f"{sys.get_int_max_str_digits()} digits cannot be written"
+        ) from None
+
+
 def natural(n, what, lo=0, hi=None, error=InvalidParameter):
     """n as it is, the one reader of a caller's integer: a bool, a float,
     a string, None or anything else that is not an int raises `error`,

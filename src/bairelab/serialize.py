@@ -21,16 +21,9 @@ from .errors import (
     ParseError,
     ValidationError,
     exponent_too_large,
+    format_fraction,
     natural,
 )
-
-
-def format_fraction(q):
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_fraction(text):
@@ -350,7 +343,7 @@ def load_json_file(path):
         raise ParseError(path, "-", "file not found")
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno} col {exc.colno}", exc.msg)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a bad encoding, a too-long int
         raise ParseError(path, "-", str(exc))
     except RecursionError:
         raise ParseError(path, "-", "nesting too deep")

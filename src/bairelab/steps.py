@@ -20,6 +20,7 @@ from .errors import (
     KOutOfRange,
     Record,
     ValidationError,
+    format_fraction,
     natural,
     rational,
 )
@@ -248,5 +249,6 @@ def bush_check(bush, delta, bound):
                 )
     return Verdict.passed(
         tested=f"levels 0..{top}: midpoint identity, strict level-difference "
-               f"bound at delta={delta}, norm bound {bound}"
+               f"bound at delta={format_fraction(delta)}, norm bound "
+               f"{format_fraction(bound)}"
     )

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,11 @@ from bairelab import (
     random_tree,
     segment_vector,
     spine,
+    subtree_at,
     vector_combine,
 )
 from bairelab.baire import MAX_ORACLE_NODES, ExponentP, _segment_families
-from bairelab.bases import NormValue, triangle_leq
+from bairelab.bases import NormValue, approx_equal, triangle_leq
 from bairelab.errors import (
     InvalidParameter,
     InvalidSegment,
@@ -45,6 +47,7 @@ from bairelab.errors import (
     TooLargeForOracle,
     TreeMismatch,
 )
+from bairelab.verdicts import CheckReport
 
 from util import (
     brute_families,
@@ -645,6 +648,53 @@ def test_root_decomposition_on_random_instances():
         kind, p = EXACT_PAIRS[trial % len(EXACT_PAIRS)]
         report = check_root_decomposition(x, kind, p)
         assert report.passed, (kind, p, report)
+
+
+def _decomposition_by_subtrees(x, kind, p):
+    """The root decomposition rebuilt per root label of the whole tree,
+    each nonzero branch on its full subtree, summed in label order."""
+    exact = exact_mode(kind, ExponentP.of(p))
+
+    def power(y):
+        nv = baire_norm(y, kind, p)
+        return nv.power_base if exact else nv.approx ** float(p)
+
+    rhs = Fraction(0) if exact else 0.0
+    for lam in sorted({n[0] for n in x.tree.nodes if n}):
+        coeffs = {n[1:]: c for n, c in x.coeffs.items() if n[0] == lam}
+        if coeffs:
+            rhs += power(BaireVector(subtree_at(x.tree, lam), coeffs))
+    lhs = power(x)
+    return CheckReport(lhs == rhs if exact else approx_equal(lhs, rhs),
+                       lhs, rhs, exact)
+
+
+def test_root_decomposition_matches_the_per_subtree_rebuild():
+    """Branches read from the stored form and measured on their support
+    closures give the per-subtree report exactly, binary64 floats
+    included, in every kind and p."""
+    rng = seeded_rng(71)
+    for trial in range(60):
+        tree = random_tree(rng.randint(2, 30), trial)
+        nodes = sorted((n for n in tree if n), key=lambda n: (len(n), n))
+        support = rng.sample(nodes, rng.randint(0, len(nodes)))
+        x = BaireVector(tree, {n: Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 7))
+                               for n in support})
+        for kind in (L1, L2, C0):
+            for p in (1, 2, Fraction(3, 2), 3):
+                assert check_root_decomposition(x, kind, p) == \
+                    _decomposition_by_subtrees(x, kind, p), (trial, kind, p)
+
+
+def test_root_decomposition_at_4000_branches_is_fast():
+    nodes = [(k,) for k in range(4000)]
+    x = BaireVector(prefix_closure(nodes),
+                    {n: Fraction(k + 1, 3) for k, n in enumerate(nodes)})
+    start = time.process_time()
+    report = check_root_decomposition(x, L1, 1)
+    assert time.process_time() - start < 1.0
+    assert report.passed and report.lhs == Fraction(4000 * 4001, 6)
 
 
 def test_identity_checks_reject_zero_exponent():

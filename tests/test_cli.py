@@ -20,9 +20,11 @@ from bairelab import (
     make_tree,
     order_index,
     prefix_closure,
+    rademacher_bush,
 )
 from bairelab.cli import main
 from bairelab.serialize import (
+    bush_to_json,
     dumps_canonical,
     family_to_json,
     tree_to_json,
@@ -834,3 +836,38 @@ def test_cli_reports_an_internal_failure(capsys, tree_file, monkeypatch):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "InternalError",
                                "message": "RuntimeError: boom"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (lambda tmp: ["rank", "--tree", _long_integer_tree(tmp)], "ParseError"),
+    (lambda tmp: ["check-bs", "--family", _antichain(tmp),
+                  "--epsilon", "1e-4300"], "InvalidParameter"),
+    (lambda tmp: ["check-abs", "--family", _antichain(tmp),
+                  "--epsilon", "1/2", "--grid", "1e-4300,1"],
+     "InvalidParameter"),
+    (lambda tmp: ["check-bush", "--bush", _bush(tmp), "--delta", "1e-4300",
+                  "--bound", "1"], "InvalidParameter"),
+    (lambda tmp: ["check-bush", "--bush", _bush(tmp), "--delta", "1/2",
+                  "--bound", "1e4300"], "InvalidParameter"),
+], ids=["read-integer", "check-bs-epsilon", "check-abs-grid",
+        "check-bush-delta", "check-bush-bound"])
+def test_past_the_integer_digit_limit_exits_2_fast(capsys, tmp_path, argv,
+                                                   error):
+    """An integer literal past Python's 4300-digit limit in a file, and a
+    rational whose text would pass it, exit 2 within 0.5 s of CPU."""
+    argv = argv(tmp_path)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+def _long_integer_tree(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"nodes": [[], [' + "9" * 4400 + ']]}')
+    return str(path)
+
+
+def _bush(tmp_path):
+    return write(tmp_path, "bush.json", bush_to_json(rademacher_bush(1)))

@@ -5,7 +5,8 @@ decimal exponent past 4300 and anything Fraction cannot read (None,
 bare.  errors.natural is the one reader of a caller's integer: every
 integer parameter refuses a bool, a float, a string and None, and a
 value outside its range, with InvalidParameter or its site's own
-class."""
+class.  BasisKind.of is the one check of a basis kind, and
+errors.format_fraction the one writer of an exact number."""
 
 import time
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from bairelab import (
+    BaireContext,
     BaireVector,
     BasisKind,
     DyadicStep,
@@ -20,16 +22,24 @@ from bairelab import (
     NormValue,
     TrialCoeffs,
     abs_obstruction_falsify,
+    baire_norm,
+    baire_norm_oracle,
+    baire_norm_witness,
+    baire_norm_zero,
     basis_norm,
     bs_obstruction_check,
     bush_check,
     cell_indicator,
     cesaro_mean,
+    check_branch_isometry,
+    check_incomparable_additivity,
+    check_root_decomposition,
     constant_step,
     convex_block_min,
     delta,
     delta_antichain_family,
     derived_tree,
+    exact_mode,
     full_kary,
     level_difference,
     linear_combination,
@@ -42,12 +52,15 @@ from bairelab import (
     subtree_at,
     weak_null_probe,
 )
+from bairelab import serialize
+from bairelab.baire import ExponentP
 from bairelab.checkers import MAX_ABS_CANDIDATES
 from bairelab.errors import (
     BadIndexList,
     InvalidParameter,
     KOutOfRange,
     WindowOutOfRange,
+    format_fraction,
     natural,
     rational,
 )
@@ -212,3 +225,89 @@ def test_natural_returns_an_integer_as_it_is():
         natural(8, "n", 0, 7)
     with pytest.raises(InvalidParameter, match=r"^n -1 outside \[0, inf\)$"):
         natural(-1, "n")
+
+
+@pytest.mark.parametrize("window", [5, None, (0,), (0, 1, 2)],
+                         ids=["int", "none", "one-entry", "three-entries"])
+def test_convex_block_min_refuses_a_window_that_is_not_a_pair(window):
+    _refused_fast(lambda w: convex_block_min(_family(), w), window,
+                  WindowOutOfRange,
+                  match=r"^window .* is not a \(start, length\) pair$")
+
+
+# ---------------------------------------------------------------------------
+# basis kinds
+
+_CHAIN = BaireVector(spine(2), {(0,): 3, (0, 0): 4})
+_FORK = make_tree([(), (0,), (1,)])
+
+# every evaluator and identity, and each constructor that takes a kind
+KIND_READERS = {
+    "baire_norm": lambda k: baire_norm(_CHAIN, k, 2),
+    "baire_norm_witness": lambda k: baire_norm_witness(_CHAIN, k, 2),
+    "baire_norm_zero": lambda k: baire_norm_zero(_CHAIN, k),
+    "baire_norm_oracle": lambda k: baire_norm_oracle(_CHAIN, k, 2),
+    "check_incomparable_additivity": lambda k: check_incomparable_additivity(
+        [delta(_FORK, (0,)), delta(_FORK, (1,))], [1, 1], k, 2),
+    "check_branch_isometry": lambda k: check_branch_isometry(_CHAIN, k, 2),
+    "check_root_decomposition":
+        lambda k: check_root_decomposition(_CHAIN, k, 2),
+    "exact_mode": lambda k: exact_mode(k, ExponentP.of(2)),
+    "basis_norm": lambda k: basis_norm(k, [3, 4]),
+    "BaireContext": lambda k: BaireContext(k, 1),
+    "delta_antichain_family": lambda k: delta_antichain_family(2, k, 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["l2", None, 7],
+                         ids=["tag", "none", "int"])
+@pytest.mark.parametrize("reader", list(KIND_READERS.values()),
+                         ids=list(KIND_READERS))
+def test_every_evaluator_refuses_what_is_not_a_basis_kind(reader, kind):
+    """A tag string, None and an integer each raise InvalidParameter
+    from every evaluator, identity and context; none is read as l1."""
+    with pytest.raises(InvalidParameter,
+                       match=f"^unknown basis kind {kind!r}$"):
+        reader(kind)
+
+
+def test_basis_kind_of_returns_a_member_as_it_is():
+    for kind in BasisKind:
+        assert BasisKind.of(kind) is kind
+    assert baire_norm_oracle(_CHAIN, BasisKind.L2, 2) == NormValue.exact(25, 2)
+
+
+# ---------------------------------------------------------------------------
+# the writer of exact numbers
+
+def test_format_fraction_is_the_one_writer_and_writes_what_str_does():
+    assert serialize.format_fraction is format_fraction
+    for q in (F(0), F(-3), F(3, 4), F(-7, 2), F(10**4299), F(1, 10**4299)):
+        assert format_fraction(q) == str(q)
+    assert format_fraction(2) == "2" and format_fraction("0.5") == "1/2"
+
+
+# each library text that prints a rational, given a value past the
+# integer-string digit limit
+WRITERS = {
+    "format_fraction": lambda: format_fraction(F(1, 10**4300)),
+    "bs_obstruction_check":
+        lambda: bs_obstruction_check(_family(), "1e-4300"),
+    "weak_null_probe": lambda: weak_null_probe(_family(), "1e-4300"),
+    "bush_check-delta": lambda: bush_check(rademacher_bush(1), "1e-4300", 1),
+    "bush_check-bound":
+        lambda: bush_check(rademacher_bush(1), F(1, 2), "1e4300"),
+    "TrialCoeffs.describe": lambda: abs_obstruction_falsify(
+        _family(), F(1, 2), TrialCoeffs(grid=("1e-4300", 1))),
+    "BaireContext.describe":
+        lambda: BaireContext(BasisKind.L1, "1e4300").describe(),
+}
+
+
+@pytest.mark.parametrize("write", list(WRITERS.values()), ids=list(WRITERS))
+def test_a_rational_past_the_digit_limit_is_refused_where_it_is_written(
+        write):
+    start = time.process_time()
+    with pytest.raises(InvalidParameter, match="4300 digits"):
+        write()
+    assert time.process_time() - start < 0.5

@@ -50,6 +50,7 @@ from .trees import (
     FiniteTree,
     Segment,
     comparable,
+    is_prefix,
     node_key,
     prefix_closure,
     segment_in_tree,
@@ -548,13 +549,27 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     for y in ys[1:]:
         if y.tree != tree:
             raise TreeMismatch("vectors live on different trees")
-    supports = [sorted(y.support, key=node_key) for y in ys]
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            for s in supports[i]:
-                for t in supports[j]:
-                    if comparable(s, t):
-                        raise SupportsNotIncomparable(i, j, (s, t))
+    # one walk over every support node in plain tuple order, where a
+    # prefix comes before its extensions: the stack holds the nodes above
+    # the current one, each with the two least vectors owning a node on
+    # the stack up to it, so the least vector clashing here is read off
+    # its top; the least clashing pair (i, j) over the walk is named
+    stack, clash = [], None
+    for node, i in sorted((n, i) for i, y in enumerate(ys) for n in y.support):
+        while stack and not is_prefix(stack[-1][0], node):
+            stack.pop()
+        owners = stack[-1][1] if stack else []
+        k = next((k for k in owners if k != i), None)
+        if k is not None:
+            pair = (min(i, k), max(i, k))
+            clash = pair if clash is None else min(clash, pair)
+        stack.append((node, sorted({*owners, i})[:2]))
+    if clash:
+        i, j = clash
+        later = sorted(ys[j].support, key=node_key)
+        raise SupportsNotIncomparable(i, j, next(
+            (s, t) for s in sorted(ys[i].support, key=node_key)
+            for t in later if comparable(s, t)))
     exact = exact_mode(kind, p)
     combined = linear_combination(zip(coeffs, ys))
     lhs = _norm_power(combined, kind, p, exact)

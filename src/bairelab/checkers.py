@@ -228,33 +228,37 @@ class TrialCoeffs(Record):
         all entries of one absolute value); FamilyTooLarge past
         MAX_ABS_CANDIDATES rays, before the rest is expanded."""
         values = tuple(rational(g, "grid values") for g in self.grid)
-        grid = itertools.product(values, repeat=size)
+        grid = itertools.product(
+            [(v.numerator, v.denominator) for v in values], repeat=size)
         rng = _random.Random(self.seed)
-        trials = (tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        trials = (tuple((rng.randint(-6, 6), rng.randint(1, 4))
                         for _ in range(size))
                   for _ in range(self.random_trials))
         rays = set()
         for c in itertools.chain(grid, trials):
-            if not any(c) or c[0] > 0 and len(set(map(abs, c))) == 1:
+            # the ray of c = (a_i / b_i) is its numerators over one
+            # denominator, divided by their gcd
+            den = math.lcm(*(b for _, b in c))
+            nums = [a * (den // b) for a, b in c]
+            g = math.gcd(*nums)
+            if not g or nums[0] > 0 and all(abs(m) == g for m in nums):
                 continue
-            scale = sum(map(abs, c))
-            ray = tuple(v / scale for v in c)
+            ray = tuple(m // g for m in nums)
             if ray not in rays:
                 rays.add(ray)
                 if len(rays) > MAX_ABS_CANDIDATES:
                     raise FamilyTooLarge(
                         f"over {MAX_ABS_CANDIDATES} grid rays of size {size}")
-                yield c
+                yield tuple(Fraction(a, b) for a, b in c)
+
+    @staticmethod
+    def _signs(size):
+        return [(Fraction(1),) + tuple(Fraction(s) for s in tail)
+                for tail in itertools.product((1, -1), repeat=size - 1)]
 
     def vectors(self, size):
         """The 2^(size - 1) sign patterns, then _rays' samples."""
-        signs = [(Fraction(1),) + tuple(Fraction(s) for s in tail)
-                 for tail in itertools.product((1, -1), repeat=size - 1)]
-        return signs + list(self._rays(size))
-
-    def count(self, size):
-        """len(self.vectors(size)), without building its sign patterns."""
-        return 2 ** (size - 1) + sum(1 for _ in self._rays(size))
+        return self._signs(size) + list(self._rays(size))
 
 
 #: Most candidates (index tuple, coefficient vector) the alternating
@@ -271,26 +275,27 @@ def abs_obstruction_falsify(family, epsilon, trials=TrialCoeffs()):
     quantifies over all real coefficients, so no finite sweep can return
     Pass; the outcome is Violated or Inconclusive.  The candidates,
     sum over ell of C(n - ell + 1, 2**ell) * len(trials.vectors(2**ell)),
-    are counted first, and more than MAX_ABS_CANDIDATES are refused.
+    are counted from one draw of the rays per block size before any is
+    tested, and more than MAX_ABS_CANDIDATES are refused.
     """
     epsilon = rational(epsilon, "epsilon", positive=True)
     n = len(family)
     if n < 2:
         raise FamilyTooSmall("need at least two vectors")
-    ells = [ell for ell in range(1, n.bit_length() + 1)
-            if (ell - 1) + 2**ell <= n]
-    total = sum(math.comb(n - ell + 1, 2**ell) * trials.count(2**ell)
-                for ell in ells)
+    rays = {ell: list(trials._rays(2**ell))
+            for ell in range(1, n.bit_length() + 1) if (ell - 1) + 2**ell <= n}
+    total = sum(math.comb(n - ell + 1, 2**ell) * (2**(2**ell - 1) + len(r))
+                for ell, r in rays.items())
     if total > MAX_ABS_CANDIDATES:
         raise FamilyTooLarge(
             f"{total} candidates exceed the bound {MAX_ABS_CANDIDATES}"
         )
     tested = []
-    for ell in ells:
+    for ell, r in rays.items():
         size = 2**ell
         # each sampled vector with its bound epsilon * sum |c_i|
         coeff_vectors = [(c, epsilon * sum(abs(v) for v in c))
-                         for c in trials.vectors(size)]
+                         for c in trials._signs(size) + r]
         tested.append(f"ell={ell}: {trials.describe(size)}")
         for tup in itertools.combinations(range(ell - 1, n), size):
             for c, rhs in coeff_vectors:

@@ -66,7 +66,7 @@ class FiniteTree:
     never closed silently.  Iteration is in length-lexicographic order.
     """
 
-    __slots__ = ("_nodes", "_sorted", "_compiled", "_hash")
+    __slots__ = ("_nodes", "_sorted", "_compiled")
 
     def __init__(self, nodes, _validated=False):
         if _validated:
@@ -89,7 +89,6 @@ class FiniteTree:
         self._nodes = ns
         self._sorted = tuple(sorted(ns, key=node_key))
         self._compiled = None
-        self._hash = None
 
     @property
     def nodes(self):
@@ -110,9 +109,8 @@ class FiniteTree:
         return self is other or self._nodes == other._nodes
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._nodes)
-        return self._hash
+        # a frozenset caches its own hash
+        return hash(self._nodes)
 
     def __repr__(self):
         return f"FiniteTree({list(self._sorted)!r})"
@@ -236,13 +234,9 @@ def is_segment(tree, node_set):
     top = nodes[-1]
     if any(not is_prefix(n, top) for n in nodes):
         return False
-    # Convexity: every in-tree node between the shortest and longest
-    # member must itself be a member.
-    present = set(nodes)
-    for i in range(len(nodes[0]), len(top) + 1):
-        if top[:i] in tree and top[:i] not in present:
-            return False
-    return True
+    # Convexity: a tree holds every prefix of top, so the chain is convex
+    # iff it holds one node per length from the shortest to top's.
+    return len(set(nodes)) == len(top) - len(nodes[0]) + 1
 
 
 def segments_incomparable(seg1, seg2):

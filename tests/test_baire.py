@@ -52,6 +52,7 @@ from bairelab.verdicts import CheckReport
 from util import (
     brute_families,
     canonical_shapes,
+    pairwise_clash,
     random_rational_vector,
     seeded_rng,
     tree_shapes,
@@ -560,6 +561,40 @@ def test_incomparable_additivity_examples():
 
     single = check_incomparable_additivity([y1], [1], L1, 2)
     assert single.passed
+
+
+def test_incomparability_matches_the_pairwise_scan():
+    # the walk names the least clashing pair and the witness a scan of
+    # every pair of supports meets first, with the same message
+    rng = seeded_rng(2501)
+    clashing = 0
+    for trial in range(400):
+        tree = random_tree(rng.randint(1, 12), trial)
+        nodes = sorted(tree.nodes)
+        ys = [BaireVector(tree, {n: rng.randint(1, 3) for n in rng.sample(
+                  nodes, rng.randint(0, min(3, len(nodes))))})
+              for _ in range(rng.randint(1, 6))]
+        expected = pairwise_clash(ys)
+        if expected is None:
+            assert check_incomparable_additivity(
+                ys, [1] * len(ys), L1, 1).passed, trial
+            continue
+        clashing += 1
+        with pytest.raises(SupportsNotIncomparable) as exc:
+            check_incomparable_additivity(ys, [1] * len(ys), L1, 1)
+        assert (exc.value.i, exc.value.j, exc.value.witness) == expected
+        assert str(exc.value) == str(SupportsNotIncomparable(*expected))
+    assert 100 < clashing < 350
+
+
+def test_incomparable_additivity_at_4000_vectors_is_fast():
+    nodes = [(k,) for k in range(4000)]
+    tree = prefix_closure(nodes)
+    ys = [delta(tree, n, Fraction(k + 1, 3)) for k, n in enumerate(nodes)]
+    start = time.process_time()
+    report = check_incomparable_additivity(ys, [1] * len(ys), L1, 1)
+    assert time.process_time() - start < 1.0
+    assert report.passed and report.lhs == Fraction(4000 * 4001, 6)
 
 
 def test_additivity_on_random_admissible_instances():

@@ -42,6 +42,17 @@ from bairelab.errors import (
     NotInUnitBall,
     WindowOutOfRange,
 )
+from util import (
+    canonical_shapes,
+    functional_supports,
+    grid_min,
+    random_rational_vector,
+    reference_block_min,
+    reference_step_block_min,
+    reference_trial_vectors,
+    seeded_rng,
+    simplex_grid,
+)
 
 F = Fraction
 L1, L2, C0 = BasisKind.L1, BasisKind.L2, BasisKind.C0
@@ -190,15 +201,41 @@ def test_abs_falsifier_monotone_under_larger_sampler():
     assert small.is_violated and large.is_violated
 
 
-def test_trial_count_matches_the_built_vectors():
-    # grid and random samples on a sign pattern's ray are not counted
-    # twice: (-1, 1) repeats every pattern, (1/2, 1) repeats (1, 1)
-    for trials in (TrialCoeffs(), TrialCoeffs(grid=(F(-1), F(1))),
-                   TrialCoeffs(grid=(F(0), F(1, 2), F(1))),
-                   TrialCoeffs(grid=(F(-1), F(0), F(1)), random_trials=30,
-                               seed=5)):
-        for size in (1, 2, 4, 8):
-            assert trials.count(size) == len(trials.vectors(size))
+def _seeded_grids(count, seed):
+    rng = seeded_rng(seed)
+    return [tuple(F(rng.randint(-6, 6), rng.randint(1, 6))
+                  for _ in range(rng.randint(1, 4))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("grid", [
+    (), (F(-1), F(1)), (F(0), F(1, 2), F(1)), (F(-1), F(0), F(1)),
+    *_seeded_grids(6, 25)])
+def test_trial_vectors_match_the_fraction_reference(grid):
+    # rays keyed by integer numerators keep the samples, their order and
+    # the first on each ray that dividing by the sum of |entries| keeps:
+    # (-1, 1) repeats every pattern, (1/2, 1) repeats (1, 1)
+    for seed, random_trials in ((0, 0), (5, 30), (17, 60)):
+        trials = TrialCoeffs(grid=grid, random_trials=random_trials,
+                             seed=seed)
+        for size in range(1, 9):
+            if len(grid) ** size <= 1000:
+                assert trials.vectors(size) == \
+                    reference_trial_vectors(trials, size), (seed, size)
+
+
+def test_abs_falsifier_draws_the_rays_once_per_block_size(monkeypatch):
+    calls = []
+    draw = TrialCoeffs._rays
+
+    def counted(self, size):
+        calls.append(size)
+        return draw(self, size)
+
+    monkeypatch.setattr(TrialCoeffs, "_rays", counted)
+    trials = TrialCoeffs(grid=(F(1, 2), F(1)), random_trials=5, seed=2)
+    fam = delta_antichain_family(10, L1, 1)
+    assert abs_obstruction_falsify(fam, F(1, 2), trials).is_inconclusive
+    assert calls == [2, 4, 8]
 
 
 class _CountingFamily(VectorFamily):
@@ -228,18 +265,18 @@ def test_a_grid_past_4096_points_is_swept_in_full():
     # 9^4 = 6561 grid points at size 4: every one is tested, and the
     # verdict's `tested` names the grid for ell = 2
     trials = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
-    assert trials.count(4) == len(trials.vectors(4)) == 5856
+    assert len(trials.vectors(4)) == 5856
     fam = _CountingFamily(delta_antichain_family(6, L1, 1))
     verdict = abs_obstruction_falsify(fam, F(1, 2), trials)
     assert verdict.is_inconclusive and "ell=2: sign patterns (2^3), grid" \
         in verdict.tested
-    assert fam.mixes == math.comb(6, 2) * trials.count(2) + \
-        math.comb(5, 4) * trials.count(4)
+    assert fam.mixes == math.comb(6, 2) * len(trials.vectors(2)) + \
+        math.comb(5, 4) * len(trials.vectors(4))
 
 
 def test_a_grid_past_the_candidate_bound_is_refused_before_it_is_built(
         monkeypatch):
-    # ell = 3 would expand 9^8 = 43 million grid vectors; the count stops
+    # ell = 3 would expand 9^8 = 43 million grid vectors; the draw stops
     # at the first ray past the bound (ell = 2 has 5,856 rays)
     monkeypatch.setattr(checkers, "MAX_ABS_CANDIDATES", 6000)
     trials = TrialCoeffs(grid=tuple(F(k, 4) for k in range(-4, 5)))
@@ -266,18 +303,6 @@ def test_abs_falsifier_refuses_past_its_candidate_bound():
 
 # ---------------------------------------------------------------------------
 # convex blocks
-
-from util import (  # noqa: E402
-    canonical_shapes,
-    functional_supports,
-    grid_min,
-    random_rational_vector,
-    reference_block_min,
-    reference_step_block_min,
-    seeded_rng,
-    simplex_grid,
-)
-
 
 def test_convex_block_min_examples():
     fam = delta_antichain_family(4, C0, P_ZERO)

@@ -90,7 +90,6 @@ READERS = {
         lambda v: abs_obstruction_falsify(_family(), v),
     "weak_null_probe": lambda v: weak_null_probe(_family(), v),
     "TrialCoeffs.vectors": lambda v: TrialCoeffs(grid=(1, v)).vectors(2),
-    "TrialCoeffs.count": lambda v: TrialCoeffs(grid=(1, v)).count(2),
     "DyadicStep": lambda v: DyadicStep(1, (1, v)),
     "constant_step": lambda v: constant_step(v),
     "cell_indicator": lambda v: cell_indicator(1, 1, v),

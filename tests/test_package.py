@@ -2,6 +2,7 @@
 public names resolve on first use, and each CLI subcommand imports only
 the modules it runs."""
 
+import ast
 import copy
 import json
 import os
@@ -170,3 +171,51 @@ def test_norm_command_loads_no_geometry_module(tmp_path):
                                         "--basis", "l1", "--p", "2"])
     assert "bairelab.baire" in loaded
     assert not loaded & (NOT_LOADED | {"dataclasses"})
+
+
+def _names_read(module):
+    """Every name a module reads: bare names, attributes and the names
+    it imports from elsewhere."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_the_package_holds_no_unused_import_or_private_name():
+    """Every name a module imports is read in that module, and every
+    private module-level name is read somewhere in the package: code
+    nothing calls is deleted."""
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "bairelab").glob("*.py"))}
+    unused = []
+    for name, module in modules.items():
+        bare = {node.id for node in ast.walk(module)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(module):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: import {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in bare]
+    read = set()
+    for module in modules.values():
+        read.update(_names_read(module))
+    for name, module in modules.items():
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}: {d} is never read" for d in defined
+                       if d.startswith("_") and not d.startswith("__")
+                       and d not in read]
+    assert unused == []

@@ -30,7 +30,7 @@ from bairelab.errors import (
     PrefixClosureViolation,
 )
 from bairelab.trees import BRANCH_CANDIDATE, depth_bounded, zeros_branch
-from bairelab.trees import MAX_DEPTH, check_node
+from bairelab.trees import MAX_DEPTH, check_node, comparable, is_prefix
 
 from util import canonical_shapes, derived_oracle, random_subtree, seeded_rng
 
@@ -286,6 +286,23 @@ def test_is_segment_examples():
     assert is_segment(chain, [])
     with pytest.raises(InvalidSegment):
         is_segment(chain, [(5,)])
+
+
+def test_is_segment_matches_its_definition():
+    # totally ordered, and every tree node between two members is one;
+    # a member listed twice changes nothing
+    for nodes in canonical_shapes(6):
+        tree = make_tree(nodes)
+        for r in range(4):
+            for subset in itertools.combinations(nodes, r):
+                members = set(subset)
+                chain = all(comparable(s, t) for s in subset for t in subset)
+                convex = all(n in members for n in nodes for s in subset
+                             for t in subset
+                             if is_prefix(s, n) and is_prefix(n, t))
+                expected = chain and convex
+                assert is_segment(tree, subset) == expected, subset
+                assert is_segment(tree, subset * 2) == expected, subset
 
 
 def test_segment_endpoints_and_nodes():

@@ -1,6 +1,7 @@
 """Shared test helpers: exhaustive tree enumeration, seeded vectors, and
 definitional oracles kept independent of the library's fast paths."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -259,3 +260,42 @@ def reference_step_block_min(steps):
     cell LP: (weights of its Bland vertex, NormValue)."""
     value, sol = solve_lp(*step_block_min_lp(steps))
     return tuple(sol[:len(steps)]), NormValue.exact(value, 1)
+
+
+def reference_trial_vectors(trials, size):
+    """TrialCoeffs.vectors(size) by its definition, on Fractions: the
+    sign patterns, then the grid product and the seeded random trials,
+    each kept when it is nonzero, off the sign patterns' rays and the
+    first on its ray, the ray being the sample over the sum of its
+    absolute entries."""
+    signs = [(Fraction(1),) + tuple(Fraction(s) for s in tail)
+             for tail in itertools.product((1, -1), repeat=size - 1)]
+    grid = itertools.product(map(Fraction, trials.grid), repeat=size)
+    rng = random.Random(trials.seed)
+    samples = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(size))
+               for _ in range(trials.random_trials)]
+    rays, kept = set(), []
+    for c in itertools.chain(grid, samples):
+        if not any(c) or c[0] > 0 and len(set(map(abs, c))) == 1:
+            continue
+        scale = sum(map(abs, c))
+        ray = tuple(v / scale for v in c)
+        if ray not in rays:
+            rays.add(ray)
+            kept.append(c)
+    return signs + kept
+
+
+def pairwise_clash(ys):
+    """The SupportsNotIncomparable arguments (i, j, (s, t)) a scan of
+    every pair of supports meets first, i < j ascending and s, t in
+    node_key order; None when the supports are completely incomparable."""
+    supports = [sorted(y.support, key=node_key) for y in ys]
+    for i in range(len(ys)):
+        for j in range(i + 1, len(ys)):
+            for s in supports[i]:
+                for t in supports[j]:
+                    if comparable(s, t):
+                        return i, j, (s, t)
+    return None

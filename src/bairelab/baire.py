@@ -3,11 +3,11 @@
 The norm of a vector assigns to every finite family of pairwise
 completely incomparable segments the p-aggregate of the per-segment block
 norms, and takes the supremum.  Two independent evaluators are provided.
-One linear-time post-order dynamic program yields the value (baire_norm),
-the least attaining family (baire_norm_witness) and the single-segment
-p = 0 variant (baire_norm_zero).  The exponential exhaustive enumeration
-(baire_norm_oracle) stays separate and definitional; in exact mode the
-two agree bit for bit, witnesses included.
+One linear-time post-order dynamic program yields the value (baire_norm)
+and the least attaining family (baire_norm_witness) for every p, the
+single-segment p = 0 variant (baire_norm_zero) too.  The exhaustive
+enumeration (baire_norm_oracle, p >= 1) stays separate and definitional;
+in exact mode the two agree bit for bit, witnesses included.
 
 Attainment of the supremum (finite support): a segment contributes one
 coordinate per node it contains, so nodes carrying coefficient zero add
@@ -44,6 +44,7 @@ from .errors import (
     TooLargeForOracle,
     TreeMismatch,
     rational,
+    safe_repr,
     within_binary64,
 )
 from .trees import (
@@ -170,7 +171,7 @@ class BaireVector:
 
     def __repr__(self):
         items = sorted(self.coeffs.items(), key=lambda kv: node_key(kv[0]))
-        return f"BaireVector({items!r})"
+        return f"BaireVector({safe_repr(items)})"
 
     def support_closure(self):
         """Prefix closure of the support, as a FiniteTree: the tree itself
@@ -241,7 +242,7 @@ def segment_vector(x, segment):
 @within_binary64
 def _segment_dp(x, kind, p, *, witness):
     """The one post-order pass behind baire_norm, baire_norm_witness and
-    baire_norm_zero.
+    baire_norm_zero, for every exponent.
 
     Exact mode runs on x.scaled() = (d, ints), binary64 mode on ints / d.
     Nodes are indexed as in the closure's compiled(): in node_key order,
@@ -255,17 +256,16 @@ def _segment_dp(x, kind, p, *, witness):
     - for p >= 1, power[i]: the best family power within i's subtree;
       least[i] and size[i]: the least member and the size of the least
       attaining family; here[i]: whether that family is the single
-      segment starting at i.
+      segment starting at i, set everywhere for p = 0.
 
     Ties resolve toward the least family in the (node_key(min),
     node_key(max)) order of the oracle, so no family is built until the
     winner is read off the flags top-down.
 
-    Returns (NormValue, witness): for p >= 1 the sorted trimmed family
-    (None unless requested), for p = 0 the trimmed segment (None for the
-    zero vector).  The p = 0 value is the root accumulator: accumulators
-    only grow toward the root, so the root is the least node attaining
-    the maximum.
+    Returns (NormValue, family): the sorted trimmed family, None unless
+    requested; for p = 0 the root's trimmed segment, if any.  The p = 0
+    value is the root accumulator: accumulators only grow toward the
+    root, so the root is the least node attaining the maximum.
     """
     exact = exact_mode(kind, p)
     d, ints = x.scaled()
@@ -294,7 +294,7 @@ def _segment_dp(x, kind, p, *, witness):
     power = [zero] * n
     least = [empty] * n
     size = [0] * n
-    here = [False] * n
+    here = [not family] * n
     for i in range(n - 1, -1, -1):
         ext, e_end, via = zero, i, -1
         csum, lo, k = zero, empty, 0
@@ -340,10 +340,7 @@ def _segment_dp(x, kind, p, *, witness):
     if not family:
         nv = NormValue.exact(Fraction(acc[0], d * d if is_l2 else d),
                              2 if is_l2 else 1)
-        if first[0] < 0:
-            return nv, None
-        return nv, Segment(order[first[0]], order[end[0]])
-    if exact:
+    elif exact:
         scale = d * d if is_l2 else d ** p.value.numerator
         nv = NormValue.exact(Fraction(power[0], scale), p.value)
     else:
@@ -364,40 +361,33 @@ def _segment_dp(x, kind, p, *, witness):
 
 def baire_norm(x, kind, p):
     """Norm of x: supremum over families of pairwise incomparable
-    segments of the p-aggregate of per-segment block norms.
+    segments of the p-aggregate of per-segment block norms; for p = 0,
+    the largest block norm of a single segment.
 
-    Exact for (L1 or C0, p in {1, 2}) and (L2, p = 2); binary64
+    Exact for (L1 or C0, p in {1, 2}), (L2, p = 2) and p = 0; binary64
     otherwise, with downstream comparisons at bases.approx_equal's
     relative-plus-absolute tolerance.
     """
-    p = ExponentP.coerce(p)
-    if p.is_zero:
-        raise InvalidParameter("use baire_norm_zero for the p = 0 variant")
-    return _segment_dp(x, kind, p, witness=False)[0]
+    return _segment_dp(x, kind, ExponentP.coerce(p), witness=False)[0]
 
 
 def baire_norm_witness(x, kind, p):
     """As baire_norm, also returning an attaining trimmed segment family,
-    lexicographically least among the maximizers.
+    lexicographically least among the maximizers; for p = 0 it holds
+    one segment, none for the zero vector.
 
     The least-maximizer promise is exact in exact mode only.  In binary64
     mode family values are float sums, so families whose exact values tie
     can differ by rounding, and the family returned is then least among
     the maximizers only up to that rounding."""
-    p = ExponentP.coerce(p)
-    if p.is_zero:
-        raise InvalidParameter(
-            "use baire_norm_zero(..., with_witness=True) for p = 0"
-        )
-    return _segment_dp(x, kind, p, witness=True)
+    return _segment_dp(x, kind, ExponentP.coerce(p), witness=True)
 
 
 def baire_norm_zero(x, kind, *, with_witness=False):
-    """Maximum block norm over single segments with endpoints in the
-    support closure; exact for every supported basis.  The witness is
-    the least maximizing segment, trimmed."""
-    nv, seg = _segment_dp(x, kind, P_ZERO, witness=True)
-    return (nv, seg) if with_witness else nv
+    """baire_norm(x, kind, P_ZERO), with baire_norm_witness's family as
+    its one segment, the least maximizing one, trimmed (None if empty)."""
+    nv, family = _segment_dp(x, kind, P_ZERO, witness=with_witness)
+    return (nv, family[0] if family else None) if with_witness else nv
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +474,7 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
     closure to stay within MAX_ORACLE_NODES (14) nodes."""
     p = ExponentP.coerce(p)
     if p.is_zero:
-        raise InvalidParameter("use baire_norm_zero for the p = 0 variant")
+        raise InvalidParameter("the oracle takes p >= 1 only")
     exact = exact_mode(kind, p)
     closure = x.support_closure()
     if len(closure) > MAX_ORACLE_NODES:
@@ -533,6 +523,34 @@ def _report(lhs, rhs, exact):
                        lhs, rhs, exact)
 
 
+def _first_comparable(nodes, ours, theirs):
+    """The pair (s, t) a scan of ours against theirs, both in node_key
+    order, meets first: the least s comparable to a node of theirs, with
+    its least such t.  That t is the shortest node of theirs above s if
+    one exists, else the least one below it, so one walk over nodes,
+    ours | theirs in plain tuple order, reads it off: the stack holds the
+    nodes above the current one, each with the shortest node of theirs
+    on its path and the least one in its subtree, handed up when it is
+    popped."""
+    found, stack = {}, []
+    for node in [*nodes, None]:
+        while stack and (node is None or not is_prefix(stack[-1][0], node)):
+            s, above, below = stack.pop()
+            t = below if above is None else above
+            if s in ours and t is not None:
+                found[s] = t
+            if stack and below is not None and (
+                    stack[-1][2] is None
+                    or node_key(below) < node_key(stack[-1][2])):
+                stack[-1][2] = below
+        if node is not None:
+            mine = node if node in theirs else None
+            above = stack[-1][1] if stack else None
+            stack.append([node, mine if above is None else above, mine])
+    s = min(found, key=node_key)
+    return s, found[s]
+
+
 def check_incomparable_additivity(ys, coeffs, kind, p):
     """Verify ||sum a_i y_i||^p == sum |a_i|^p ||y_i||^p for vectors with
     pairwise completely incomparable supports."""
@@ -554,8 +572,9 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
     # the current one, each with the two least vectors owning a node on
     # the stack up to it, so the least vector clashing here is read off
     # its top; the least clashing pair (i, j) over the walk is named
+    owned = sorted((n, i) for i, y in enumerate(ys) for n in y.support)
     stack, clash = [], None
-    for node, i in sorted((n, i) for i, y in enumerate(ys) for n in y.support):
+    for node, i in owned:
         while stack and not is_prefix(stack[-1][0], node):
             stack.pop()
         owners = stack[-1][1] if stack else []
@@ -566,10 +585,9 @@ def check_incomparable_additivity(ys, coeffs, kind, p):
         stack.append((node, sorted({*owners, i})[:2]))
     if clash:
         i, j = clash
-        later = sorted(ys[j].support, key=node_key)
-        raise SupportsNotIncomparable(i, j, next(
-            (s, t) for s in sorted(ys[i].support, key=node_key)
-            for t in later if comparable(s, t)))
+        nodes = dict.fromkeys(n for n, k in owned if k in clash)
+        raise SupportsNotIncomparable(i, j, _first_comparable(
+            nodes, ys[i].support, ys[j].support))
     exact = exact_mode(kind, p)
     combined = linear_combination(zip(coeffs, ys))
     lhs = _norm_power(combined, kind, p, exact)
@@ -597,7 +615,7 @@ def check_branch_isometry(x, kind, p):
     top = supp[-1] if supp else ()
     chain = [x[top[:i]] for i in range(len(top) + 1)] if supp else []
     block = basis_norm(kind, chain)
-    lhs = baire_norm_zero(x, kind) if p.is_zero else baire_norm(x, kind, p)
+    lhs = baire_norm(x, kind, p)
     passed = lhs.equals(block)
     return CheckReport(passed, lhs, block, lhs.is_exact and block.is_exact)
 

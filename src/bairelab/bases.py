@@ -13,7 +13,13 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import InvalidParameter, Record, rational, within_binary64
+from .errors import (
+    InvalidParameter,
+    Record,
+    int_text,
+    rational,
+    within_binary64,
+)
 
 #: Tolerances of every comparison involving an approximate value: two
 #: floats agree when they are within APPROX_REL_TOL of the larger
@@ -136,7 +142,10 @@ class NormValue(Record):
 
     def __repr__(self):
         if self.is_exact:
-            return f"NormValue({self.power_base}^(1/{self.inv_exp}))"
+            b = self.power_base
+            base = int_text(b.numerator) + (
+                "" if b.denominator == 1 else f"/{int_text(b.denominator)}")
+            return f"NormValue({base}^(1/{self.inv_exp}))"
         return f"NormValue(~{self.approx!r})"
 
 

@@ -17,7 +17,6 @@ from .baire import (
     ExponentP,
     baire_norm,
     baire_norm_witness,
-    baire_norm_zero,
     linear_combination,
 )
 from .bases import BasisKind, NormValue
@@ -59,8 +58,6 @@ class BaireContext:
         self.p = ExponentP.coerce(p)
 
     def norm(self, v):
-        if self.p.is_zero:
-            return baire_norm_zero(v, self.kind)
         return baire_norm(v, self.kind, self.p)
 
     def mix(self, pairs):
@@ -340,12 +337,8 @@ def _cut(combo, vectors, context, scale):
     1/_CUT_GRID, which keeps the LP off the origin, where it is
     degenerate and slower."""
     kind, exact = context.kind, context.polyhedral
-    if context.p.is_zero:
-        nv, seg = baire_norm_zero(combo, kind, with_witness=True)
-        family, pf = () if seg is None else (seg,), 1.0
-    else:
-        nv, family = baire_norm_witness(combo, kind, context.p)
-        pf = float(context.p.value)
+    nv, family = baire_norm_witness(combo, kind, context.p)
+    pf = 1.0 if context.p.is_zero else float(context.p.value)
     f = nv.power_base if exact else nv.approx
     d, ints = combo.scaled()
     slopes = {}

@@ -8,6 +8,7 @@ overflows fails a precondition.
 """
 
 import argparse
+import re
 import sys
 
 from . import serialize
@@ -29,6 +30,12 @@ from .serialize import (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token starting "-<digit>", such as "-1,0,1" or "-1/2", is a
+        # value: no option of this command line looks like one
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message):
         raise ValidationError(message)
 
@@ -121,17 +128,13 @@ def _cmd_derive(args):
 
 
 def _cmd_norm(args):
-    from .baire import baire_norm_oracle, baire_norm_witness, baire_norm_zero
+    from .baire import baire_norm_oracle, baire_norm_witness
     tree = _load_tree(args.tree) if args.tree else None
     x = _load_vector(args.vector, tree=tree)
-    if args.p.is_zero:
-        nv, seg = baire_norm_zero(x, args.basis, with_witness=True)
-        witness = [seg] if seg is not None else []
-        return serialize.norm_to_json(nv, witness)
     if args.oracle:
         nv, witness = baire_norm_oracle(x, args.basis, args.p, with_witness=True)
-        return serialize.norm_to_json(nv, witness)
-    nv, witness = baire_norm_witness(x, args.basis, args.p)
+    else:
+        nv, witness = baire_norm_witness(x, args.basis, args.p)
     return serialize.norm_to_json(nv, witness)
 
 

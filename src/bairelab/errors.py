@@ -37,7 +37,7 @@ class Record:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+        fields = ", ".join(f"{name}={safe_repr(getattr(self, name))}"
                            for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
@@ -119,6 +119,34 @@ def format_fraction(q):
             "a rational past the integer-string limit of "
             f"{sys.get_int_max_str_digits()} digits cannot be written"
         ) from None
+
+
+def int_text(n):
+    """str(n), or its sign and bit length past Python's integer-string
+    digit limit: a repr names such a number's size rather than raise."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
+def safe_repr(v):
+    """repr(v), with every int and Fraction in it, through tuples, lists
+    and dicts, written by int_text."""
+    t = type(v)
+    if t is int:
+        return int_text(v)
+    if t is Fraction:
+        return f"Fraction({int_text(v.numerator)}, {int_text(v.denominator)})"
+    if t is dict:
+        return "{" + ", ".join(f"{safe_repr(k)}: {safe_repr(x)}"
+                               for k, x in v.items()) + "}"
+    if t is list:
+        return f"[{', '.join(map(safe_repr, v))}]"
+    if t is tuple:
+        inner = ", ".join(map(safe_repr, v))
+        return f"({inner},)" if len(v) == 1 else f"({inner})"
+    return repr(v)
 
 
 def natural(n, what, lo=0, hi=None, error=InvalidParameter):

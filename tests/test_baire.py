@@ -338,12 +338,15 @@ def test_zero_variant_matches_segment_scan():
                 nv, seg = baire_norm_zero(y, kind, with_witness=True)
                 ref_nv, ref_seg = zero_oracle(y, kind)
                 assert nv == ref_nv and seg == ref_seg
+                nv, family = baire_norm_witness(y, kind, P_ZERO)
+                assert nv == ref_nv
+                assert family == (() if ref_seg is None else (ref_seg,))
+                assert baire_norm(y, kind, P_ZERO) == ref_nv
 
 
 def test_p_zero_routed_to_zero_norm():
     ones = BaireVector(FORK_CHAIN, dict.fromkeys(FORK_CHAIN, Fraction(1)))
-    with pytest.raises(InvalidParameter):
-        baire_norm(ones, L1, P_ZERO)
+    assert baire_norm(ones, L1, P_ZERO) == baire_norm_zero(ones, L1)
     with pytest.raises(InvalidParameter):
         baire_norm_oracle(ones, L1, 0)
     with pytest.raises(InvalidParameter):
@@ -587,6 +590,43 @@ def test_incomparability_matches_the_pairwise_scan():
     assert 100 < clashing < 350
 
 
+def test_incomparability_witness_matches_the_pairwise_scan_on_large_supports():
+    # two or three vectors of up to 15 nodes each, so a witness may come
+    # from a prefix, an extension or a node both supports hold
+    rng = seeded_rng(2601)
+    kinds = set()
+    for trial in range(300):
+        tree = random_tree(rng.randint(2, 40), trial)
+        nodes = sorted(tree.nodes)
+        ys = [BaireVector(tree, dict.fromkeys(rng.sample(
+                  nodes, rng.randint(1, min(15, len(nodes)))), 1))
+              for _ in range(rng.randint(2, 3))]
+        expected = pairwise_clash(ys)
+        if expected is None:
+            continue
+        with pytest.raises(SupportsNotIncomparable) as exc:
+            check_incomparable_additivity(ys, [1] * len(ys), L1, 1)
+        assert (exc.value.i, exc.value.j, exc.value.witness) == expected
+        s, t = expected[2]
+        kinds.add((len(s) > len(t)) - (len(s) < len(t)))
+    assert kinds == {-1, 0, 1}
+
+
+def test_a_late_clash_of_large_supports_is_named_fast():
+    # 3,000 antichain nodes each, comparable only at (2999,) and (2999, 0)
+    a = [(k,) for k in range(3000)]
+    b = [(3000 + k,) for k in range(2999)] + [(2999, 0)]
+    tree = prefix_closure(a + b)
+    ys = [BaireVector(tree, dict.fromkeys(a, 1)),
+          BaireVector(tree, dict.fromkeys(b, 1))]
+    start = time.process_time()
+    with pytest.raises(SupportsNotIncomparable) as exc:
+        check_incomparable_additivity(ys, [1, 1], L1, 1)
+    assert time.process_time() - start < 0.5
+    assert str(exc.value) == str(
+        SupportsNotIncomparable(0, 1, ((2999,), (2999, 0))))
+
+
 def test_incomparable_additivity_at_4000_vectors_is_fast():
     nodes = [(k,) for k in range(4000)]
     tree = prefix_closure(nodes)
@@ -776,11 +816,8 @@ _STALK = make_tree([(), (0,)])
     (lambda: check_incomparable_additivity(
         [delta(_FORK, (0,)), delta(_STALK, (0,))], [1, 1], L1, 1),
      TreeMismatch),
-    (lambda: baire_norm_witness(delta(_FORK, (0,)), L1, P_ZERO),
-     InvalidParameter),
 ], ids=["vector-on-a-non-tree", "additivity-count-mismatch",
-        "additivity-no-vectors", "additivity-two-trees",
-        "witness-at-p-zero"])
+        "additivity-no-vectors", "additivity-two-trees"])
 def test_malformed_library_input_is_refused(call, error):
     with pytest.raises(error):
         call()

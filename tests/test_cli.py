@@ -158,6 +158,16 @@ def test_gen_commands_are_reproducible(capsys, tmp_path):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_norm_oracle_refuses_the_zero_variant(capsys, tmp_path):
+    t = make_tree([(), (0,)])
+    vec = write(tmp_path, "x.json", vector_to_json(BaireVector(t, {(0,): 1})))
+    code, out, err = run_cli(capsys, "norm", "--vector", vec, "--basis", "l1",
+                             "--p", "0", "--oracle")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidParameter",
+                               "message": "the oracle takes p >= 1 only"}
+
+
 def test_check_bs_command(capsys, tmp_path):
     fam = delta_antichain_family(4, BasisKind.L1, 1)
     path = write(tmp_path, "fam.json", family_to_json(fam))
@@ -328,6 +338,30 @@ def test_list_options_report_their_argument(capsys, tmp_path, argv, message):
     doc = json.loads(err)
     assert doc["error"] == "ValidationError"
     assert doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("value", ["-1,0,1", "-1/2,1"])
+def test_a_list_value_may_start_with_a_minus(capsys, tmp_path, value):
+    fam = write(tmp_path, "fam.json",
+                family_to_json(delta_antichain_family(4, BasisKind.L1, 1)))
+    argv = ["check-abs", "--family", fam, "--epsilon", "1/2"]
+    joined = run_cli(capsys, *argv, f"--grid={value}")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run_cli(capsys, *argv, "--grid", value) == joined
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["--epsilon", "-1/2"], "InvalidParameter", "epsilon must be positive"),
+    (["--epsilon", "1/2", "--grid", "-x"], "ValidationError",
+     "argument --grid: expected one argument"),
+], ids=["negative-epsilon", "grid-like-an-option"])
+def test_a_minus_value_reaches_its_reader(capsys, tmp_path, argv, error,
+                                          message):
+    fam = write(tmp_path, "fam.json",
+                family_to_json(delta_antichain_family(4, BasisKind.L1, 1)))
+    code, out, err = run_cli(capsys, "check-abs", "--family", fam, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "message": message}
 
 
 def _assert_validation_exit(code, out, err):

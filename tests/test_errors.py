@@ -20,6 +20,7 @@ from bairelab import (
     DyadicStep,
     LazyTree,
     NormValue,
+    P_ZERO,
     TrialCoeffs,
     abs_obstruction_falsify,
     baire_norm,
@@ -274,6 +275,39 @@ def test_basis_kind_of_returns_a_member_as_it_is():
     for kind in BasisKind:
         assert BasisKind.of(kind) is kind
     assert baire_norm_oracle(_CHAIN, BasisKind.L2, 2) == NormValue.exact(25, 2)
+
+
+# ---------------------------------------------------------------------------
+# exponents
+
+# every evaluator and identity, and whether it takes the single-segment
+# p = 0: the oracle sums families, and the two identities hold for p >= 1
+EXPONENT_READERS = {
+    "baire_norm": (baire_norm, True),
+    "baire_norm_witness": (baire_norm_witness, True),
+    "BaireContext.norm": (lambda x, k, p: BaireContext(k, p).norm(x), True),
+    "check_branch_isometry": (check_branch_isometry, True),
+    "baire_norm_oracle": (baire_norm_oracle, False),
+    "check_incomparable_additivity": (
+        lambda x, k, p: check_incomparable_additivity([x], [2], k, p), False),
+    "check_root_decomposition": (check_root_decomposition, False),
+}
+
+
+@pytest.mark.parametrize("p", [P_ZERO, 1, 2, F(3, 2)],
+                         ids=["zero", "1", "2", "3/2"])
+@pytest.mark.parametrize("x", [_CHAIN, BaireVector(_CHAIN.tree, {})],
+                         ids=["vector", "zero-vector"])
+@pytest.mark.parametrize("kind", list(BasisKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("call, takes_zero", list(EXPONENT_READERS.values()),
+                         ids=list(EXPONENT_READERS))
+def test_every_evaluator_takes_the_exponents_it_states(call, takes_zero, kind,
+                                                       x, p):
+    if p is P_ZERO and not takes_zero:
+        with pytest.raises(InvalidParameter, match="p >= 1"):
+            call(x, kind, p)
+    else:
+        assert call(x, kind, p) is not None
 
 
 # ---------------------------------------------------------------------------

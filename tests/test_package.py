@@ -17,6 +17,7 @@ import pytest
 import bairelab
 from bairelab import (
     P_ZERO,
+    BaireVector,
     BushLevels,
     CheckReport,
     Cofinite,
@@ -26,6 +27,7 @@ from bairelab import (
     Segment,
     TrialCoeffs,
     Verdict,
+    make_tree,
     rademacher_bush,
 )
 from bairelab.baire import ExponentP
@@ -81,6 +83,17 @@ def test_record_behaves_as_a_frozen_dataclass(value, text, fields):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert not hasattr(value, "__dict__")
+
+
+def test_a_repr_names_the_size_of_a_number_past_the_digit_limit():
+    tiny = F(1, 10**4300)
+    assert repr(NormValue.exact(tiny, 1)) == \
+        "NormValue(1/<14285-bit integer>^(1/1))"
+    assert repr(BaireVector(make_tree([(), (0,)]), {(0,): "1e-4300"})) == \
+        "BaireVector([((0,), Fraction(1, <14285-bit integer>))])"
+    assert repr(CheckReport(False, -1 / tiny, {"a": [tiny]}, True)) == (
+        "CheckReport(passed=False, lhs=Fraction(-<14285-bit integer>, 1), "
+        "rhs={'a': [Fraction(1, <14285-bit integer>)]}, exact=True)")
 
 
 def test_records_of_different_classes_are_unequal():

@@ -43,6 +43,7 @@ from .errors import (
     SupportsNotIncomparable,
     TooLargeForOracle,
     TreeMismatch,
+    format_fraction,
     rational,
     safe_repr,
     within_binary64,
@@ -89,6 +90,10 @@ class ExponentP(Record):
     @property
     def is_zero(self):
         return self.value is None
+
+    def text(self):
+        """The exponent as files and descriptions write it."""
+        return "0" if self.is_zero else format_fraction(self.value)
 
     def __repr__(self):
         return "ExponentP(zero)" if self.is_zero else f"ExponentP({self.value})"
@@ -356,7 +361,8 @@ def _segment_dp(x, kind, p, *, witness):
         elif first[i] >= 0:
             segs.append((first[i], end[i]))
     segs.sort()
-    return nv, tuple(Segment(order[f], order[e]) for f, e in segs)
+    # first[i] lies on the chain from i to end[i], a prefix of its node
+    return nv, tuple(Segment._of(order[f], order[e]) for f, e in segs)
 
 
 def baire_norm(x, kind, p):

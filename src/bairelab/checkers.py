@@ -70,8 +70,7 @@ class BaireContext:
         )
 
     def describe(self):
-        p = "0" if self.p.is_zero else format_fraction(self.p.value)
-        return f"baire({self.kind.value}, p={p})"
+        return f"baire({self.kind.value}, p={self.p.text()})"
 
 
 class StepContext:

@@ -30,11 +30,19 @@ from .serialize import (
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, arguments=(), **kwargs):
         super().__init__(*args, **kwargs)
         # a token starting "-<digit>", such as "-1,0,1" or "-1/2", is a
         # value: no option of this command line looks like one
         self._negative_number_matcher = re.compile(r"-\d")
+        self._pending = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's arguments are added once it is chosen
+        for flag, options in self._pending:
+            self.add_argument(flag, **options)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValidationError(message)
@@ -273,88 +281,61 @@ def _cmd_block_min(args):
 # parser assembly
 
 def build_parser():
+    """Every subcommand's name and help text, and its arguments."""
+    need = {"required": True}
+    compat = {"action": "store_true",
+              "help": "accepted for compatibility; runs serially"}
+    # per subcommand, in help order: its help text, its handler and its
+    # arguments as (flag, add_argument keywords)
+    commands = {
+        "rank": ("order index of a tree", _cmd_rank, [("--tree", need)]),
+        "derive": ("iterated derived tree", _cmd_derive, [
+            ("--tree", need), ("--times", dict(type=int, default=1))]),
+        "norm": ("segment-family norm of a vector", _cmd_norm, [
+            ("--tree", {}), ("--vector", need),
+            ("--basis", dict(need, type=_basis)),
+            ("--p", dict(need, type=_exponent)),
+            ("--oracle", dict(action="store_true",
+                              help="use the exhaustive oracle evaluator")),
+            ("--parallel", compat)]),
+        "gen": ("generate corpus files", _cmd_gen, [
+            ("--family", dict(need, choices=[
+                "spine", "full-kary", "random", "rademacher-bush",
+                "delta-antichain"])),
+            *((flag, {"type": int}) for flag in ("--k", "--d", "--n", "--K")),
+            ("--seed", dict(type=int, default=0)),
+            ("--basis", {"type": _basis}), ("--p", {"type": _exponent}),
+            ("--out", {})]),
+        "check-bs": ("split-mean obstruction check", _cmd_check_bs, [
+            ("--family", need), ("--epsilon", dict(need, type=_fraction)),
+            ("--parallel", compat)]),
+        "check-abs": ("alternating obstruction falsifier", _cmd_check_abs, [
+            ("--family", need), ("--epsilon", dict(need, type=_fraction)),
+            ("--grid", {"type": _coeff_list}),
+            ("--random", dict(type=int, default=0)),
+            ("--seed", dict(type=int, default=0))]),
+        "check-bush": ("validate a dyadic bush", _cmd_check_bush, [
+            ("--bush", need), ("--delta", dict(need, type=_fraction)),
+            ("--bound", dict(need, type=_fraction))]),
+        "check-identity": ("exact norm identities", _cmd_check_identity, [
+            ("--identity", dict(need, choices=[
+                "additivity", "branch-isometry", "root-decomposition"])),
+            ("--family", {}), ("--coeffs", {"type": _coeff_list}),
+            ("--vector", {}), ("--basis", {"type": _basis}),
+            ("--p", {"type": _exponent})]),
+        "probe-wf": ("finite well-foundedness probe", _cmd_probe_wf, [
+            ("--tree", {}), ("--lazy", {}),
+            ("--depth", dict(need, type=int)),
+            ("--budget", dict(type=int, default=64))]),
+        "block-min": ("norm-minimal convex block", _cmd_block_min, [
+            ("--family", need), ("--window", dict(need, type=_window))]),
+    }
     parser = _Parser(prog="bairelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("rank", help="order index of a tree")
-    p.add_argument("--tree", required=True)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("derive", help="iterated derived tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--times", type=int, default=1)
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("norm", help="segment-family norm of a vector")
-    p.add_argument("--tree")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--basis", type=_basis, required=True)
-    p.add_argument("--p", type=_exponent, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the exhaustive oracle evaluator")
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted for compatibility; runs serially")
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("gen", help="generate corpus files")
-    p.add_argument("--family", required=True,
-                   choices=["spine", "full-kary", "random",
-                            "rademacher-bush", "delta-antichain"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--basis", type=_basis)
-    p.add_argument("--p", type=_exponent)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("check-bs", help="split-mean obstruction check")
-    p.add_argument("--family", required=True)
-    p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted for compatibility; runs serially")
-    p.set_defaults(func=_cmd_check_bs)
-
-    p = sub.add_parser("check-abs", help="alternating obstruction falsifier")
-    p.add_argument("--family", required=True)
-    p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--grid", type=_coeff_list)
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_check_abs)
-
-    p = sub.add_parser("check-bush", help="validate a dyadic bush")
-    p.add_argument("--bush", required=True)
-    p.add_argument("--delta", type=_fraction, required=True)
-    p.add_argument("--bound", type=_fraction, required=True)
-    p.set_defaults(func=_cmd_check_bush)
-
-    p = sub.add_parser("check-identity", help="exact norm identities")
-    p.add_argument("--identity", required=True,
-                   choices=["additivity", "branch-isometry",
-                            "root-decomposition"])
-    p.add_argument("--family")
-    p.add_argument("--coeffs", type=_coeff_list)
-    p.add_argument("--vector")
-    p.add_argument("--basis", type=_basis)
-    p.add_argument("--p", type=_exponent)
-    p.set_defaults(func=_cmd_check_identity)
-
-    p = sub.add_parser("probe-wf", help="finite well-foundedness probe")
-    p.add_argument("--tree")
-    p.add_argument("--lazy")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=64)
-    p.set_defaults(func=_cmd_probe_wf)
-
-    p = sub.add_parser("block-min", help="norm-minimal convex block")
-    p.add_argument("--family", required=True)
-    p.add_argument("--window", type=_window, required=True)
-    p.set_defaults(func=_cmd_block_min)
-
+    for name, (text, handler, arguments) in commands.items():
+        sub.add_parser(name, help=text, arguments=arguments).set_defaults(
+            func=handler)
     return parser
 
 

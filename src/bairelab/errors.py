@@ -6,6 +6,7 @@ bugs: BaireLabError maps to exit code 2, anything else to exit code 1.
 """
 
 import functools
+import math
 import operator
 import re
 import sys
@@ -104,16 +105,20 @@ def rational(c, what="coefficients", positive=False):
     return c
 
 
-def format_fraction(q):
-    """The one writer of an exact number: "p" for an integer, else "p/q",
-    the text str(Fraction) gives.  A numerator or denominator past Python's
-    integer-string digit limit raises InvalidParameter, not ValueError."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
+def format_fraction(q, d=None):
+    """The one writer of an exact number, q or the integers' ratio q / d
+    (d > 0): "p" for an integer, else "p/q", the text str(Fraction) gives.
+    A numerator or denominator past Python's integer-string digit limit
+    raises InvalidParameter, not ValueError."""
+    if d is None:
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        q, d = q.numerator, q.denominator
+    else:
+        g = math.gcd(q, d)
+        q, d = q // g, d // g
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(q) if d == 1 else f"{q}/{d}"
     except ValueError:
         raise InvalidParameter(
             "a rational past the integer-string limit of "

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .bases import BasisKind, NormValue
 from .errors import (
     MAX_DECIMAL_EXPONENT,
+    InvalidParameter,
     ParseError,
     ValidationError,
     exponent_too_large,
@@ -37,19 +38,26 @@ def parse_fraction(text):
         raise ValidationError(
             f"a rational must be a string or an integer, got {text!r}"
         )
-    if exponent_too_large(text):
+    # "[-]digits[/digits]" is read by int(), which gives Fraction's own
+    # value and errors; anything else goes through Fraction's parser
+    num, slash, den = text.partition("/")
+    plain = (num[1:] if num[:1] == "-" else num).isdecimal() and (
+        den.isdecimal() or not slash)
+    if not plain and exponent_too_large(text):
         raise ValidationError(
             f"bad rational {text!r}: decimal exponent beyond "
             f"{MAX_DECIMAL_EXPONENT} in magnitude"
         )
     try:
-        return Fraction(int(text) if text.isdecimal() else text.strip())
+        if not plain:
+            return Fraction(text.strip())
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {text!r}: {exc}")
 
 
 def format_exponent(p):
-    return "0" if p.is_zero else format_fraction(p.value)
+    return p.text()
 
 
 def parse_exponent(text):
@@ -92,28 +100,36 @@ def _emit(obj, out):
         out.append(_quote(obj))
     elif kind is int:
         out.append(str(obj))
-    elif kind is list or kind is tuple:
-        # a list of plain ints or of plain strings is written in one join
-        kinds = set(map(type, obj))
+    elif kind is list or kind is tuple or kind is dict:
+        # a list of plain ints is written as its repr, which is built in
+        # C, without the spaces, and a list of plain strings in one join
+        kinds = kind is not dict and set(map(type, obj))
         if kinds == {int}:
-            out.append("[" + ",".join(map(str, obj)) + "]")
+            out.append(repr(list(obj)).replace(" ", ""))
         elif kinds == {str}:
             out.append("[" + ",".join(map(_quote, obj)) + "]")
         else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(",")
-                _emit(item, out)
-            out.append("]")
-    elif kind is dict:
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValidationError("object keys must be strings")
-            out.append(("," if i else "") + _quote(key) + ":")
-            _emit(obj[key], out)
-        out.append("}")
+            # a str, an int or a list of plain ints is written inline
+            is_dict = kind is dict
+            out.append("{" if is_dict else "[")
+            for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+                head = "," if i else ""
+                if is_dict:
+                    key, item = item
+                    if not isinstance(key, str):
+                        raise ValidationError("object keys must be strings")
+                    head += _quote(key) + ":"
+                leaf = type(item)
+                if leaf is str:
+                    out.append(head + _quote(item))
+                elif leaf is int:
+                    out.append(head + str(item))
+                elif leaf is list and set(map(type, item)) <= {int}:
+                    out.append(head + repr(item).replace(" ", ""))
+                else:
+                    out.append(head)
+                    _emit(item, out)
+            out.append("}" if is_dict else "]")
     elif obj is None:
         out.append("null")
     elif kind is bool:
@@ -171,9 +187,17 @@ def _array(value, what):
 
 
 def tree_from_json(obj):
+    """A tree from JSON, naming a node not of integers before any fault."""
     from .trees import make_tree
     nodes = _array(_object(obj, "a tree").get("nodes"), '"nodes"')
-    return make_tree([_node_from_json(n) for n in nodes])
+    try:
+        if set(map(type, nodes)) <= {list}:
+            return make_tree(nodes)
+    except InvalidParameter:
+        pass
+    for n in nodes:
+        _node_from_json(n)
+    return make_tree(nodes)
 
 
 def _node_from_json(node):
@@ -185,11 +209,13 @@ def _node_from_json(node):
 
 
 def _entries_to_json(x):
+    """The entries in node_key order, from x.scaled(): a full support in
+    the tree's own order, any other sorted."""
     from .trees import node_key
-    return [
-        {"node": list(n), "coef": format_fraction(c)}
-        for n, c in sorted(x.coeffs.items(), key=lambda kv: node_key(kv[0]))
-    ]
+    d, ints = x.scaled()
+    nodes = x.tree if len(ints) == len(x.tree) else sorted(ints, key=node_key)
+    return [{"node": list(n), "coef": format_fraction(ints[n], d)}
+            for n in nodes]
 
 
 def vector_to_json(x):

@@ -7,6 +7,7 @@ threads.
 """
 
 import random as _random
+from itertools import chain
 
 from .errors import (
     BudgetExceeded,
@@ -69,10 +70,20 @@ class FiniteTree:
     __slots__ = ("_nodes", "_sorted", "_compiled")
 
     def __init__(self, nodes, _validated=False):
-        if _validated:
-            ns = frozenset(tuple(n) for n in nodes)
-        else:
-            ns = frozenset(check_node(n) for n in nodes)
+        nodes = list(map(tuple, nodes))
+        # one pass each for the depth, the entries' types (not values: True
+        # == 1) and their range, else check_node names the first offender
+        entries = chain.from_iterable
+        if not _validated and nodes and not (
+                max(map(len, nodes)) <= MAX_DEPTH
+                and set(map(type, entries(nodes))) <= {int}
+                and min(entries(nodes), default=0) >= 0
+                and max(entries(nodes), default=0) <= MAX_ENTRY):
+            for n in nodes:
+                check_node(n)
+        ns = frozenset(nodes)
+        # a set is prefix-closed iff it holds each non-root node's parent
+        if not _validated and not {n[:-1] for n in ns if n} <= ns:
             # every prefix walked so far is present, and so are its own
             # prefixes unless this walk raises: a node's walk from its
             # longest prefix down stops at the first one already walked,
@@ -202,6 +213,14 @@ class Segment(Record):
             raise InvalidSegment(f"{min_node} is not a prefix of {max_node}")
         object.__setattr__(self, "min_node", min_node)
         object.__setattr__(self, "max_node", max_node)
+
+    @classmethod
+    def _of(cls, min_node, max_node):
+        """The segment of two tuples already known to be in prefix order."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "min_node", min_node)
+        object.__setattr__(seg, "max_node", max_node)
+        return seg
 
     def nodes(self):
         lo, hi = len(self.min_node), len(self.max_node)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,12 @@ from bairelab import (
     weak_null_probe,
 )
 from bairelab.cli import main
-from bairelab.errors import ParseError, PrefixClosureViolation, ValidationError
+from bairelab.errors import (
+    InvalidParameter,
+    ParseError,
+    PrefixClosureViolation,
+    ValidationError,
+)
 from bairelab.serialize import (
     bush_from_json,
     bush_to_json,
@@ -58,6 +64,7 @@ from bairelab.serialize import (
     vector_to_json,
     verdict_to_json,
 )
+from bairelab.trees import node_key
 
 from util import random_rational_vector, seeded_rng
 
@@ -83,13 +90,17 @@ def test_fraction_strings():
 
 
 def test_digit_strings_parse_as_fraction_strings_do():
-    # a digit string skips Fraction's string parser; its value or error
-    # message is the one that parser gives, at the int() digit cap too
+    # "[-]digits[/digits]" skips Fraction's string parser; its value or
+    # error message is the one that parser gives, at the int() digit cap
+    # and at a zero denominator too, and so is every other string's
     for text in ("0", "0007", "\u0663", "\u0661\u0662", "\u00b2",
-                 "9" * 4300, "9" * 4301):
+                 "9" * 4300, "9" * 4301, "-0", "-7/4", "+3", "3/-4",
+                 " -3/4 ", "\u0663/\u0664", "1_0/3", "1/0", "-1/0",
+                 "-" + "9" * 4301, "1/" + "9" * 4301, "-", "3/", "/3",
+                 "3//4", "--3", "-6/4"):
         try:
             expected = F(text.strip())
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             with pytest.raises(ValidationError) as err:
                 parse_fraction(text)
             assert str(err.value) == f"bad rational {text!r}: {exc}"
@@ -122,6 +133,52 @@ def test_vector_round_trip():
     ]
     assert vector_from_json(doc) == x
     assert vector_from_json({"entries": doc["entries"]}, tree=t) == x
+
+
+def test_tree_reader_names_a_non_integer_node_before_other_faults():
+    # the JSON check comes first, though a node before it is out of range
+    for nodes in ([[-1], [1.5]], [[0] * 5000, [True]], [[2**32], "0"]):
+        with pytest.raises(ValidationError) as exc:
+            tree_from_json({"nodes": [[], *nodes]})
+        assert str(exc.value) == (
+            f"a node must be an array of integers, got {nodes[1]!r}")
+    with pytest.raises(InvalidParameter) as exc:
+        tree_from_json({"nodes": [[], [0, -1], [2**32]]})
+    assert str(exc.value) == "node entries must be naturals, got -1"
+
+
+def test_vector_writer_matches_the_per_fraction_rendering():
+    # the writer reads x.scaled(); the rendering it replaced wrote every
+    # coefficient's reduced Fraction in node_key order
+    rng = seeded_rng(2702)
+    big, small = random_tree(2000, 7), full_kary(3, 2)
+    nodes = list(big)
+    vectors = [BaireVector(big, {}), BaireVector(small, {}),
+               random_rational_vector(small, rng, allow_zero=True)]
+    for size in (1, 2, 17, 400, 1999, 2000):
+        vectors.append(BaireVector(big, {
+            n: F(rng.randint(-10**6, 10**6) or 1, rng.choice((1, 2, 6, 35)))
+            for n in rng.sample(nodes, size)}))
+    for x in vectors:
+        expected = [{"node": list(n), "coef": format_fraction(c)}
+                    for n, c in sorted(x.coeffs.items(),
+                                       key=lambda kv: node_key(kv[0]))]
+        assert vector_to_json(x) == {"tree": tree_to_json(x.tree),
+                                     "entries": expected}
+        assert vector_from_json(json.loads(
+            dumps_canonical(vector_to_json(x)))) == x
+
+
+def test_a_chain_vector_round_trips_in_stated_time():
+    # make_tree and the round trip of a full-support spine(2000) vector
+    # read each of its ~2 million node entries a few times: ~1.2 s of CPU
+    t = spine(2000)
+    x = BaireVector(t, {n: F(len(n) % 7 - 3 or 5, len(n) % 4 + 1) for n in t})
+    start = time.process_time()
+    tree = make_tree(list(t))
+    back = vector_from_json(json.loads(dumps_canonical(vector_to_json(x))))
+    assert time.process_time() - start < 4.0
+    assert tree == t and back == x
 
 
 def test_norm_json():

@@ -101,6 +101,14 @@ def test_make_tree_diagnostics_are_pinned():
     assert digest.hexdigest() == MAKE_TREE_DIAGNOSTICS_DIGEST
 
 
+def test_make_tree_reads_entry_types_not_values():
+    # True == 1 and 1.0 == 1, so a set of entry values would pass them
+    for bad in (True, 1.0):
+        with pytest.raises(InvalidParameter) as exc:
+            make_tree([(), (1,), (1, 0), (bad, 0)])
+        assert str(exc.value) == f"node entries must be naturals, got {bad!r}"
+
+
 def test_make_tree_is_linear_on_a_chain():
     nodes = list(spine(2000))
     start = time.process_time()

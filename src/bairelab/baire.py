@@ -28,7 +28,6 @@ either no segment has started yet (children contribute independently) or
 a single segment starts here and owns the whole subtree.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -398,54 +397,69 @@ def baire_norm_zero(x, kind, *, with_witness=False):
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle
-
-def _trim_segment(ints, min_node, max_node):
-    """Trim a chain to the support endpoints of ints; None if support-free."""
-    chain = [max_node[:i] for i in range(len(min_node), len(max_node) + 1)]
-    carriers = [n for n in chain if n in ints]
-    if not carriers:
-        return None
-    return Segment(carriers[0], carriers[-1])
+#
+# Over a closure's compiled() form of n nodes, the segment from position a
+# down to position v, (order[a], order[v]), is the id a * n + v.
 
 
-def _trimmed_family(ints, fam):
-    """fam trimmed by _trim_segment, support-free segments dropped, in
-    the oracle's tie order, and its key in that order: (node_key(min),
+def _trimmed_family(order, parent, coef, fam):
+    """The id family fam with every segment trimmed to its first and last
+    carrier (nonzero coef), support-free segments dropped, in the
+    oracle's tie order, and its key in that order: (node_key(min),
     node_key(max)) per segment."""
-    trimmed = (_trim_segment(ints, a, v) for a, v in fam)
-    keyed = sorted((((node_key(s.min_node), node_key(s.max_node)), s)
-                    for s in trimmed if s is not None), key=lambda ks: ks[0])
+    n = len(order)
+    keyed = []
+    for s in fam:
+        a, v = divmod(s, n)
+        chain = [v]  # up from v to a, so the last carrier comes first
+        while v != a:
+            v = parent[v]
+            chain.append(v)
+        carriers = [u for u in chain if coef[u]]
+        if carriers:
+            lo, hi = order[carriers[-1]], order[carriers[0]]
+            keyed.append(((node_key(lo), node_key(hi)), Segment._of(lo, hi)))
+    keyed.sort(key=lambda ks: ks[0])
     return tuple(s for _, s in keyed), tuple(k for k, _ in keyed)
 
 
 def _segment_families(closure):
-    """Every valid family over `closure`: an antichain of start nodes,
-    one downward segment per start node, built bottom-up over the
-    closure's compiled() form.  Exponential; oracle use only."""
+    """Every valid family over `closure` as a tuple of segment ids: an
+    antichain of start positions, one downward segment per start, built
+    bottom-up over the closure's compiled() form.  A node's families are
+    its children's joined pairwise in child order, itertools.product's
+    order, followed by one singleton per segment starting at the node.
+    Exponential; oracle use only."""
     order, _, kids = closure.compiled()
-    if not order:
+    n = len(order)
+    if not n:
         return ((),)
-    fams, subtree = [None] * len(order), [None] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        subtree[i] = sum((subtree[c] for c in kids[i]), [order[i]])
-        fams[i] = [sum(combo, ()) for combo in
-                   itertools.product(*(fams[c] for c in kids[i]))]
-        fams[i] += (((order[i], u),) for u in subtree[i])
+    fams, subtree = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        sub, acc = [i], [()]
+        for c in kids[i]:
+            sub += subtree[c]
+            acc = [a + b for a in acc for b in fams[c]]
+        base = i * n
+        acc += [(base + u,) for u in sub]
+        fams[i], subtree[i] = acc, sub
     return tuple(fams[0])
 
 
 @within_binary64
-def _segment_powers(x, closure, kind, p, exact):
-    """The p-th power of the block norm of every segment (v[:i], v) with
-    endpoints in the closure, from one upward walk per closure node that
-    keeps a running sum of |a|, sum of a * a or max |a| over x.scaled()
-    integers.
+def _segment_powers(d, parent, coef, kind, p, exact):
+    """The p-th power of the block norm of every segment, in a list
+    indexed by segment id.  coef holds x.scaled()'s integers per
+    position and d their denominator; one walk up the parent positions
+    from each position keeps a running sum of |a|, sum of a * a or max
+    |a|.
 
-    Exact mode returns integers over the common scale D ** p (D ** 2 in
-    l2, which keeps squares); binary64 mode returns the floats
-    basis_norm(...).approx ** p bit for bit.  Returns (powers, scale),
-    scale None in binary64 mode."""
-    d, ints = x.scaled()
+    Exact mode gives integers over the common scale d ** p (d ** 2 in
+    l2, which keeps squares); binary64 mode gives the floats
+    basis_norm(...).approx ** p bit for bit.  An id that names no
+    segment holds None.  Returns (powers, scale), scale None in binary64
+    mode."""
+    n = len(coef)
     is_l2 = kind is BasisKind.L2
     is_c0 = kind is BasisKind.C0
     ex = 1 if is_l2 else p.value.numerator
@@ -454,30 +468,31 @@ def _segment_powers(x, closure, kind, p, exact):
     block_scale = d * d if is_l2 else d
     root = 1 / (2.0 if is_l2 else 1.0)
     fp = float(p.value)
-    powers = {}
-    for v in closure:
-        acc = 0
-        for i in range(len(v), -1, -1):
-            seg = (v[:i], v)
-            a = ints.get(seg[0], 0)
+    powers = [None] * (n * n)
+    for v in range(n):
+        acc, a = 0, v
+        while a >= 0:
+            c = coef[a]
             if is_l2:
-                acc += a * a
+                acc += c * c
             elif is_c0:
-                acc = max(acc, abs(a))
+                acc = max(acc, abs(c))
             else:
-                acc += abs(a)
+                acc += abs(c)
             if exact:
-                powers[seg] = acc ** ex
+                powers[a * n + v] = acc ** ex
             else:
-                powers[seg] = ((acc / block_scale) ** root) ** fp
+                powers[a * n + v] = ((acc / block_scale) ** root) ** fp
+            a = parent[a]
     return powers, scale
 
 
 def baire_norm_oracle(x, kind, p, *, with_witness=False):
     """Exhaustive reference evaluator; bit-identical to baire_norm in
     exact mode.  It sums integer segment powers (floats in binary64 mode)
-    over every family of an uncached enumeration.  Requires the support
-    closure to stay within MAX_ORACLE_NODES (14) nodes."""
+    left to right over every family of an uncached enumeration of
+    segment ids.  Requires the support closure to stay within
+    MAX_ORACLE_NODES (14) nodes."""
     p = ExponentP.coerce(p)
     if p.is_zero:
         raise InvalidParameter("the oracle takes p >= 1 only")
@@ -486,21 +501,27 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
     if len(closure) > MAX_ORACLE_NODES:
         raise TooLargeForOracle(f"support closure has {len(closure)} nodes, "
                                 f"oracle bound is {MAX_ORACLE_NODES}")
-    powers, scale = _segment_powers(x, closure, kind, p, exact)
+    d, ints = x.scaled()
+    order, index, _ = closure.compiled()
+    parent = [index[v[:-1]] if v else -1 for v in order]
+    coef = [ints.get(v, 0) for v in order]
+    powers, scale = _segment_powers(d, parent, coef, kind, p, exact)
     zero = 0 if exact else 0.0
     # the maximum value; with a witness, ties go to the least family in
-    # _trimmed_family order, whose key is kept beside it
+    # _trimmed_family order, whose key is kept beside it.  The sum is an
+    # explicit loop: builtin sum() compensates float sums from Python
+    # 3.12 on, which would move binary64 values between versions.
     total = family = key = None
     for fam in _segment_families(closure):
         val = zero
-        for seg in fam:
-            val += powers[seg]
+        for s in fam:
+            val += powers[s]
         if total is not None and (
             val < total or (val == total and not with_witness)
         ):
             continue
         if with_witness:
-            fam_w, fam_key = _trimmed_family(x.scaled()[1], fam)
+            fam_w, fam_key = _trimmed_family(order, parent, coef, fam)
             if val == total and fam_key >= key:
                 continue
             family, key = fam_w, fam_key

@@ -377,13 +377,40 @@ def test_oracle_equivalence_with_sparse_support():
             )[1]
 
 
+def _decoded_families(tree):
+    """_segment_families(tree) with every segment id a * n + v decoded
+    to its (min_node, max_node) pair through tree.compiled()'s order."""
+    order = tree.compiled()[0]
+    n = len(order)
+    return tuple(tuple((order[s // n], order[s % n]) for s in fam)
+                 for fam in _segment_families(tree))
+
+
 def test_segment_families_match_definitional_brute_force():
     for nodes in canonical_shapes(6):
         tree = make_tree(nodes)
-        families = _segment_families(tree)
+        families = _decoded_families(tree)
         as_sets = [frozenset(f) for f in families]
         assert len(set(as_sets)) == len(families) == len(set(families))
         assert set(as_sets) == set(brute_families(tree))
+
+
+# SHA-256 over repr(_decoded_families(tree)), one line per shape of
+# tree_shapes(6, 3), taken with the enumeration that built families of
+# (min_node, max_node) pairs by itertools.product.  It pins the family
+# order and the segment order within each family, which fix the
+# association of the oracle's binary64 sums on any Python version.
+FAMILY_ORDER_DIGEST = (
+    "8de2b2d83620d9aee5a3e0a386b9f0746f9c25589e2b39299ee84ed8674ca693"
+)
+
+
+def test_segment_family_order_is_pinned():
+    digest = hashlib.sha256()
+    for nodes in tree_shapes(6, 3):
+        families = _decoded_families(make_tree(nodes))
+        digest.update(repr(families).encode() + b"\n")
+    assert digest.hexdigest() == FAMILY_ORDER_DIGEST
 
 
 # SHA-256 over repr(baire_norm_oracle(x, kind, p, with_witness=w)), one

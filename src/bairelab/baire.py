@@ -180,10 +180,32 @@ class BaireVector:
     def support_closure(self):
         """Prefix closure of the support, as a FiniteTree: the tree itself
         when the support is all of it, so its order and compiled form are
-        shared."""
+        shared.  Otherwise it is read off the tree's compiled() form: from
+        each support node's position up the parent positions to the first
+        one already met, and those positions sorted as ints, since the
+        tree's order is node_key order.  The closure's own compiled form
+        is set as it is built; it equals prefix_closure(support)'s."""
         if self._closure is None:
-            self._closure = (self.tree if len(self._form[1]) == len(self.tree)
-                             else prefix_closure(self._form[1]))
+            ints = self._form[1]
+            if len(ints) == len(self.tree):
+                self._closure = self.tree
+            else:
+                order, index, _, parent = self.tree.compiled()
+                seen = set()
+                for v in ints:
+                    i = index[v]
+                    while i >= 0 and i not in seen:
+                        seen.add(i)
+                        i = parent[i]
+                pos = sorted(seen)
+                at = {i: j for j, i in enumerate(pos)}
+                sub = tuple([order[i] for i in pos])
+                up = [at.get(parent[i], -1) for i in pos]
+                kids = [[] for _ in pos]
+                for j in range(1, len(pos)):
+                    kids[up[j]].append(j)
+                self._closure = FiniteTree._of(
+                    sub, {v: j for j, v in enumerate(sub)}, kids, up)
         return self._closure
 
     def scaled(self):
@@ -214,11 +236,11 @@ def linear_combination(pairs):
     tree = pairs[0][1].tree
     terms = []
     for a, x in pairs:
-        if x.tree != tree:
+        if x.tree is not tree and x.tree != tree:
             raise TreeMismatch("vectors live on different trees")
-        a = rational(a)
+        num, den = rational(a).as_integer_ratio()
         dx, ints = x.scaled()
-        terms.append((a.numerator, a.denominator * dx, ints))
+        terms.append((num, den * dx, ints))
     d = math.lcm(*(den for _, den, _ in terms))
     out = {}
     for num, den, ints in terms:
@@ -274,11 +296,13 @@ def _segment_dp(x, kind, p, *, witness):
     exact = exact_mode(kind, p)
     d, ints = x.scaled()
     # the zero vector runs as a lone root without coefficient
-    order, _, kids = (x.support_closure() or prefix_closure([()])).compiled()
+    order, _, kids, _ = (x.support_closure()
+                         or prefix_closure([()])).compiled()
     n = len(order)
-    coef = [ints.get(v, 0) for v in order]
-    if not exact:
-        coef = [c / d for c in coef]
+    # ints holds no zero, so num[i] is nonzero exactly at the carriers,
+    # even where a float c / d underflows to 0.0
+    num = [ints.get(v, 0) for v in order]
+    coef = num if exact else [c / d for c in num]
     zero = 0 if exact else 0.0
 
     is_l2 = kind is BasisKind.L2
@@ -322,7 +346,7 @@ def _segment_dp(x, kind, p, *, witness):
         # in c0 that holds as soon as |a| reaches the best extension
         acc[i] = m
         end[i] = i if stop else e_end
-        if order[i] in ints:
+        if num[i]:
             first[i] = i
         else:
             first[i] = -1 if stop else first[via]
@@ -342,11 +366,11 @@ def _segment_dp(x, kind, p, *, witness):
             power[i], least[i], size[i] = csum, lo, k
 
     if not family:
-        nv = NormValue.exact(Fraction(acc[0], d * d if is_l2 else d),
-                             2 if is_l2 else 1)
+        nv = NormValue._of(acc[0], d * d if is_l2 else d,
+                           Fraction(2 if is_l2 else 1))
     elif exact:
         scale = d * d if is_l2 else d ** p.value.numerator
-        nv = NormValue.exact(Fraction(power[0], scale), p.value)
+        nv = NormValue._of(power[0], scale, p.value)
     else:
         nv = NormValue.approximate(power[0] ** (1.0 / float(p.value)))
     if not witness:
@@ -430,7 +454,7 @@ def _segment_families(closure):
     its children's joined pairwise in child order, itertools.product's
     order, followed by one singleton per segment starting at the node.
     Exponential; oracle use only."""
-    order, _, kids = closure.compiled()
+    order, _, kids, _ = closure.compiled()
     n = len(order)
     if not n:
         return ((),)
@@ -502,8 +526,7 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
         raise TooLargeForOracle(f"support closure has {len(closure)} nodes, "
                                 f"oracle bound is {MAX_ORACLE_NODES}")
     d, ints = x.scaled()
-    order, index, _ = closure.compiled()
-    parent = [index[v[:-1]] if v else -1 for v in order]
+    order, _, _, parent = closure.compiled()
     coef = [ints.get(v, 0) for v in order]
     powers, scale = _segment_powers(d, parent, coef, kind, p, exact)
     zero = 0 if exact else 0.0
@@ -527,7 +550,7 @@ def baire_norm_oracle(x, kind, p, *, with_witness=False):
             family, key = fam_w, fam_key
         total = val
     nv = (
-        NormValue.exact(Fraction(total, scale), p.value)
+        NormValue._of(total, scale, p.value)
         if exact
         else NormValue.approximate(total ** (1.0 / float(p.value)))
     )

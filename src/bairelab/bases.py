@@ -84,6 +84,16 @@ class NormValue(Record):
 
     @classmethod
     @within_binary64
+    def _of(cls, num, den, inv_exp):
+        """exact(Fraction(num, den), inv_exp) for integers num >= 0 and
+        den > 0 and a positive integer Fraction inv_exp, unchecked.  An
+        integer true division is correctly rounded, so the float is
+        exact()'s bit for bit, with no Fraction in between."""
+        return cls(Fraction(num, den), inv_exp,
+                   (num / den) ** (1 / inv_exp.numerator))
+
+    @classmethod
+    @within_binary64
     def approximate(cls, value):
         value = float(value)
         if not math.isfinite(value):  # a binary64 sum or square overflowed
@@ -111,13 +121,19 @@ class NormValue(Record):
 
     @within_binary64
     def _cmp_scalar(self, q):
-        """Three-way comparison against a rational threshold q >= 0."""
+        """Three-way comparison against a rational threshold q; a value is
+        above every q < 0.  Exact mode compares integers: a / b against
+        (c / e) ** k, for power_base = a / b, q = c / e and k = inv_exp,
+        as a * e ** k against c ** k * b."""
         q = rational(q, "threshold")
         if self.is_exact:
-            if q < 0:
+            c, e = q.as_integer_ratio()
+            if c < 0:
                 return 1
-            rhs = q ** self.inv_exp.numerator
-            return (self.power_base > rhs) - (self.power_base < rhs)
+            a, b = self.power_base.as_integer_ratio()
+            k = self.inv_exp.numerator
+            lhs, rhs = a * e**k, c**k * b
+            return (lhs > rhs) - (lhs < rhs)
         q = float(q)
         if approx_equal(self.approx, q):
             return 0

@@ -126,21 +126,37 @@ class FiniteTree:
     def __repr__(self):
         return f"FiniteTree({list(self._sorted)!r})"
 
+    @classmethod
+    def _of(cls, order, index, kids, parent):
+        """The tree whose compiled() form is (order, index, kids, parent),
+        a form already known to be one: order a prefix-closed node tuple
+        in node_key order."""
+        tree = object.__new__(cls)
+        tree._nodes = frozenset(order)
+        tree._sorted = order
+        tree._compiled = (order, index, kids, parent)
+        return tree
+
     def compiled(self):
-        """(order, index, kids), built once and shared read-only: the nodes
-        in node_key order, each node's position there, and per position
-        the positions of its children, ascending."""
+        """(order, index, kids, parent), built once and shared read-only:
+        the nodes in node_key order, each node's position there, per
+        position the positions of its children, ascending, and per
+        position its parent's position, -1 at the root.  Every parent
+        precedes its children."""
         if self._compiled is None:
-            index = {v: i for i, v in enumerate(self._sorted)}
-            kids = [[] for _ in index]
-            for i in range(1, len(kids)):
-                kids[index[self._sorted[i][:-1]]].append(i)
-            self._compiled = (self._sorted, index, kids)
+            order = self._sorted
+            index = {v: i for i, v in enumerate(order)}
+            kids = [[] for _ in order]
+            parent = [-1] * len(order)
+            for i in range(1, len(order)):
+                j = parent[i] = index[order[i][:-1]]
+                kids[j].append(i)
+            self._compiled = (order, index, kids, parent)
         return self._compiled
 
     def children(self, node):
         """Child nodes of `node` in ascending label order; () if absent."""
-        order, index, kids = self.compiled()
+        order, index, kids, _ = self.compiled()
         i = index.get(tuple(node))
         return () if i is None else tuple(order[c] for c in kids[i])
 

@@ -814,6 +814,108 @@ def test_support_closure_is_cached_and_correct():
     assert closure == prefix_closure(x.support)
 
 
+def _assert_same_closure(x, reference):
+    closure = x.support_closure()
+    assert closure.nodes == reference.nodes
+    assert tuple(closure) == tuple(reference)
+    assert closure.compiled() == reference.compiled()
+
+
+def test_support_closure_is_the_prefix_closure_in_every_component():
+    # every support of every canonical shape up to 6 nodes
+    for nodes in canonical_shapes(6):
+        tree = make_tree(nodes)
+        order = tuple(tree)
+        for r in range(len(order) + 1):
+            for support in itertools.combinations(order, r):
+                x = BaireVector(tree, dict.fromkeys(support, 1))
+                if r == len(order):
+                    assert x.support_closure() is tree
+                else:
+                    _assert_same_closure(x, prefix_closure(support))
+    rng = seeded_rng(29)
+    for _ in range(50):
+        tree = random_tree(40, rng.randint(0, 10**6))
+        support = [v for v in tree if rng.random() < 0.2]
+        x = BaireVector(tree, {v: rng.randint(1, 5) for v in support})
+        _assert_same_closure(x, prefix_closure(support))
+    tree = random_tree(40, 3)
+    _assert_same_closure(BaireVector(tree, {}), prefix_closure([]))
+    _assert_same_closure(delta(tree, ()), prefix_closure([()]))
+
+
+def _assert_same_value(nv, ref):
+    assert nv == ref
+    assert type(nv.inv_exp) is Fraction
+    assert nv.approx.hex() == ref.approx.hex()
+
+
+def test_the_dp_value_is_norm_value_exact_field_for_field():
+    rng = seeded_rng(2929)
+    pairs = EXACT_PAIRS + [(kind, 0) for kind in (L1, L2, C0)]
+    for shift in (0, 60, 200):
+        for _ in range(30):
+            tree = random_tree(rng.randint(1, 9), rng.randint(0, 10**6))
+            x = BaireVector(tree, {
+                v: Fraction(rng.randint(-6, 6) * 2**shift + rng.randint(0, 1),
+                            rng.randint(1, 9)) for v in tree})
+            for kind, p in pairs:
+                nv = baire_norm(x, kind, p)
+                _assert_same_value(nv, NormValue.exact(nv.power_base,
+                                                       nv.inv_exp))
+                if p and len(x.support_closure()) <= MAX_ORACLE_NODES:
+                    _assert_same_value(baire_norm_oracle(x, kind, p), nv)
+    # unreduced integers past 2^53, where num / den differs from
+    # float(num) / float(den)
+    for _ in range(200):
+        num = rng.randint(2**53, 2**80)
+        den = rng.randint(1, 2**40) * 3
+        for k in (1, 2):
+            _assert_same_value(NormValue._of(num, den, Fraction(k)),
+                               NormValue.exact(Fraction(num, den), k))
+    with pytest.raises(InvalidParameter, match="binary64 range"):
+        NormValue._of(10**400 * 3, 3, Fraction(1))
+    with pytest.raises(InvalidParameter, match="binary64 range"):
+        baire_norm(delta(FORK, (0,), 10**400), L1, 1)
+
+
+def _fraction_cmp_scalar(nv, q):
+    """The threshold rule by Fraction arithmetic: q ** k against the
+    power base, with every value above a negative q."""
+    if q < 0:
+        return 1
+    rhs = q ** nv.inv_exp.numerator
+    return (nv.power_base > rhs) - (nv.power_base < rhs)
+
+
+def test_threshold_compares_agree_with_the_fraction_rule():
+    rng = seeded_rng(1029)
+    big = 2**1000
+    for _ in range(400):
+        k = rng.choice((1, 2))
+        q = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        if rng.random() < 0.3:
+            q = Fraction(q.numerator * big + rng.randint(0, 3),
+                         q.denominator * big + rng.randint(0, 3))
+        bases = [q ** k if q >= 0 else -q, Fraction(0),
+                 Fraction(rng.randint(0, 400), rng.randint(1, 12)),
+                 abs(q) ** k + Fraction(1, big)]
+        for base in bases:
+            nv = NormValue.exact(base, k)
+            expected = _fraction_cmp_scalar(nv, q)
+            assert nv._cmp_scalar(q) == expected
+            assert nv.below(q) == (expected < 0)
+            assert nv.at_most(q) == (expected <= 0)
+            assert nv.at_least(q) == (expected >= 0)
+    # equal values, a zero threshold and a negative one
+    for k in (1, 2):
+        assert NormValue.exact(Fraction(9, 4), k)._cmp_scalar(
+            Fraction(9, 4) if k == 1 else Fraction(3, 2)) == 0
+        assert NormValue.exact(0, k)._cmp_scalar(0) == 0
+        assert NormValue.exact(1, k)._cmp_scalar(0) == 1
+        assert NormValue.exact(0, k)._cmp_scalar(Fraction(-1, 3)) == 1
+
+
 def test_float_views_beyond_binary64_raise_invalid_parameter():
     # (l1, 1) is exact, but the float view of 10^400 overflows; p = 2000
     # runs in binary64, where 2.0 ** 2000 overflows; (l2, 3/2) squares

@@ -162,6 +162,24 @@ def test_bs_obstruction_scaling_covariance():
     assert v1.witness["m"] == v2.witness["m"]
 
 
+def test_the_full_split_mean_sweeps_stay_fast():
+    # every one of the 9 * 2^8 candidates is one combination and one
+    # norm on a closure of at most 10 nodes
+    start = time.process_time()
+    v1 = bs_obstruction_check(delta_antichain_family(9, L1, 1), 1)
+    v2 = bs_obstruction_check(delta_antichain_family(9, C0, 2), F(3, 10))
+    assert time.process_time() - start < 1.5
+    assert v1.status == v2.status == "pass"
+    # the same deltas on a 20,000-node tree: each closure still costs its
+    # support, and only the tree's compiled form costs the tree, once
+    nodes = [(k,) for k in range(9)]
+    tree = prefix_closure(nodes + [(9, j) for j in range(20000)])
+    fam = VectorFamily([delta(tree, v) for v in nodes], BaireContext(L1, 1))
+    start = time.process_time()
+    assert bs_obstruction_check(fam, 1) == v1
+    assert time.process_time() - start < 1.5
+
+
 def test_abs_falsifier_inconclusive_on_summable_basis():
     fam = delta_antichain_family(6, L1, 1)
     verdict = abs_obstruction_falsify(fam, F(1, 2))

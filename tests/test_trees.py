@@ -254,11 +254,13 @@ def test_compiled_form_matches_the_definitions():
     for t in trees:
         form = t.compiled()
         assert t.compiled() is form
-        order, index, kids = form
+        order, index, kids, parent = form
         assert order == tuple(t)
         assert len(index) == len(order)
+        assert len(parent) == len(order)
         for i, v in enumerate(order):
             assert index[v] == i
+            assert parent[i] == (index[v[:-1]] if v else -1)
             below = [j for j, u in enumerate(order)
                      if len(u) == len(v) + 1 and u[: len(v)] == v]
             assert kids[i] == below
